@@ -129,9 +129,13 @@ def _build_policy(cfg, kind):
     return make_policy(kind, coupled_arrival=cfg.scenario.couple_arrival)
 
 
-def _run_one(cfg, kind):
+def _load_frames(cfg):
+    """The configured replay trace's frames, or None to generate frames."""
+    return fileio.load_trace(cfg.trace) if cfg.trace else None
+
+
+def _run_one(cfg, kind, frames):
     policy = _build_policy(cfg, kind)
-    frames = fileio.load_trace(cfg.trace) if cfg.trace else None
     horizon = len(frames) if frames is not None else None
     result = sim.run(cfg.scenario, policy, cfg=cfg.controller, frames=frames, horizon=horizon)
     return result, sim.summarize(result)
@@ -165,7 +169,7 @@ def cmd_simulate(args):
     cfg = _load_run_config(args)
     os.makedirs(cfg.out_dir, exist_ok=True)
     label = cfg.policy.value
-    result, summary = _run_one(cfg, cfg.policy)
+    result, summary = _run_one(cfg, cfg.policy, _load_frames(cfg))
     _write_timeseries(os.path.join(cfg.out_dir, "timeseries.csv"), [(label, result)])
     _write_summary(os.path.join(cfg.out_dir, "summary.csv"), [(label, summary)])
     print(
@@ -193,9 +197,10 @@ def _write_dat(path, labels, series_by_label):
 def cmd_compare(args):
     cfg = _load_run_config(args)
     os.makedirs(cfg.out_dir, exist_ok=True)
+    frames = _load_frames(cfg)
     results, summaries = [], []
     for label, kind in COMPARE_POLICIES:
-        result, summary = _run_one(cfg, kind)
+        result, summary = _run_one(cfg, kind, frames)
         results.append((label, result))
         summaries.append((label, summary))
     _write_timeseries(os.path.join(cfg.out_dir, "timeseries.csv"), results)

@@ -4,7 +4,6 @@ parse -> save -> parse round trip reproduces the same configuration.
 """
 
 import configparser
-import dataclasses
 from dataclasses import dataclass, fields
 
 from .controller import ControllerConfig, ModelChoice
@@ -67,19 +66,15 @@ def _format(value):
     return str(value)
 
 
-_RUN_KEYS = {
-    "policy": PolicyKind.DPP,
-    "out_dir": "out",
-    "reinforce_lr": 2e-4,
-    "reinforce_gamma": 0.99,
-    "reinforce_train_episodes": 50,
-    "reinforce_episode_len": 50,
-    "trace": "",
-}
-
-
 def _dataclass_defaults(cls):
     return {f.name: f.default for f in fields(cls)}
+
+
+_RUN_KEYS = {
+    name: default
+    for name, default in _dataclass_defaults(RunConfig).items()
+    if name not in ("scenario", "controller")
+}
 
 
 def parse_config(parser, source="<config>"):

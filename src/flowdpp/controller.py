@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 __all__ = [
     "ModelChoice",
     "ControllerConfig",
-    "QueueState",
     "StepObservation",
     "queue_update",
     "arrival",
@@ -63,12 +62,6 @@ class ControllerConfig:
         for name in ("w1", "w2", "w_fps", "w_p"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
-
-
-@dataclass
-class QueueState:
-    q: float = 0.0
-    t: int = 0
 
 
 @dataclass(frozen=True)

@@ -88,13 +88,13 @@ def _threshold_tensor(grid, thresholds):
     rows, cols, k = grid.shape
     thr = np.asarray(thresholds, dtype=np.float64)
     if thr.ndim == 0:
-        return np.broadcast_to(thr, grid.shape)
+        return thr
     if thr.shape != (rows * cols * k,):
         raise ValueError(
             f"threshold vector length {thr.size} does not match grid {rows}x{cols}x{k}"
         )
     # Vector layout is k replicated blocks, each a row-major (row, col) plane.
-    return np.moveaxis(thr.reshape(k, rows, cols), 0, -1)
+    return thr.reshape(k, rows, cols).transpose(1, 2, 0)
 
 
 def threshold_detections(grid, thresholds):
@@ -111,10 +111,11 @@ def threshold_detections(grid, thresholds):
     out = []
     for i, j in zip(*np.nonzero(admitted.any(axis=2))):
         k = best_k[i, j]
+        # tolist() keeps numpy scalars out of the downstream IoU arithmetic
         out.append(
             Detection(
                 int(i), int(j), int(k),
-                float(grid.conf[i, j, k]), tuple(grid.boxes[i, j, k]),
+                float(grid.conf[i, j, k]), tuple(grid.boxes[i, j, k].tolist()),
             )
         )
     return out

@@ -7,8 +7,16 @@ resize to the detector's grid, then map each squashed value f to a threshold
 c_th / (1 + exp(2 f)).  Larger flow deviation gives a lower threshold, so
 cells with motion admit lower-confidence boxes.
 
-All functions are pure and operate on 2-D float arrays.
+The public stage functions are pure: each validates its input and returns a
+new array.  process() validates the map and its parameters once, then runs
+the same private kernels in place in one map-size scratch buffer, so a frame
+costs one map-size allocation whatever the number of stages.  The median is
+a single-kth partition of that buffer plus the maximum of the lower half,
+which equals np.median bit for bit.  Resize matrices are cached per
+(source, target) size.
 """
+
+import functools
 
 import numpy as np
 
@@ -32,36 +40,67 @@ def _as_flow_map(values):
     return arr
 
 
-def shift_min(values, scale_range=False):
-    """Shift the map so its minimum value is exactly zero.
+def _check_target(target_rows, target_cols):
+    if target_rows < 1 or target_cols < 1:
+        raise ValueError("target dimensions must be >= 1")
 
-    With scale_range=True the shifted map is also divided by (max - min),
-    mapping values into [0, 1]; a constant map stays all-zero rather than
-    dividing by zero.  The default performs the shift only.
+
+def _check_thresholds(num_boxes, c_th):
+    if not 0.0 < c_th <= 1.0:
+        raise ValueError(f"c_th must be in (0, 1], got {c_th}")
+    if num_boxes < 1:
+        raise ValueError("num_boxes must be >= 1")
+
+
+# -- kernels: arithmetic shared by the public stages and process ------------
+
+def _extent(arr):
+    """(min, max - min) of a map.
+
+    max - min equals max(arr - min) exactly, because rounding a difference is
+    monotone in its first operand; it is infinite when the shifted map
+    overflows.
     """
-    arr = _as_flow_map(values)
-    out = arr - arr.min()
-    if scale_range:
-        span = out.max()
-        if span > 0.0:
-            out = out / span
+    lo = arr.min()
+    return lo, arr.max() - lo
+
+
+def _shift(arr, out, lo, span):
+    """out = (arr - lo) / span, skipping the division unless span > 0."""
+    np.subtract(arr, lo, out=out)
+    if span > 0.0:
+        out /= span
     return out
 
 
-def center_abs_median(values):
-    """Absolute deviation from the map-wide median.
+def _median_destructive(buf):
+    """np.median of a contiguous array, reordering its elements in place.
 
-    Values near the median are static pixels and map to ~0; values near either
-    extreme are moving pixels and map to large deviations.
+    One partition at n // 2 puts the upper middle value there and only
+    smaller-or-equal values before it; for even n the lower middle value is
+    the maximum of that lower half.
     """
-    arr = _as_flow_map(values)
-    return np.abs(arr - np.median(arr))
+    flat = buf.ravel(order="K")
+    n = flat.size
+    half = n // 2
+    flat.partition(half)
+    upper = flat[half]
+    if n % 2:
+        return upper
+    return (flat[:half].max() + upper) / 2.0
 
 
-def squash(values):
-    """Elementwise logistic sigmoid; non-negative inputs land in [0.5, 1)."""
-    arr = _as_flow_map(values)
-    return 1.0 / (1.0 + np.exp(-arr))
+def _abs_deviation(buf, median):
+    np.subtract(buf, median, out=buf)
+    return np.abs(buf, out=buf)
+
+
+def _squash(buf):
+    """1 / (1 + exp(-x)), in place."""
+    np.negative(buf, out=buf)
+    np.exp(buf, out=buf)
+    buf += 1.0
+    return np.divide(1.0, buf, out=buf)
 
 
 def _keys_kernel(x, a=-0.5):
@@ -72,12 +111,13 @@ def _keys_kernel(x, a=-0.5):
     return np.where(ax <= 1.0, inner, np.where(ax < 2.0, outer, 0.0))
 
 
+@functools.lru_cache(maxsize=32)
 def _resize_weights(n_src, n_dst):
     """Dense (n_dst, n_src) bicubic weight matrix, clamp-to-edge taps.
 
     Output sample i reads source coordinate (i + 0.5) * scale - 0.5, the
     center-aligned convention, which degenerates to the identity matrix when
-    n_src == n_dst.
+    n_src == n_dst.  Cached, so the matrix is read-only.
     """
     scale = n_src / n_dst
     x = (np.arange(n_dst) + 0.5) * scale - 0.5
@@ -89,20 +129,65 @@ def _resize_weights(n_src, n_dst):
     taps = np.clip(taps, 0, n_src - 1)
     mat = np.zeros((n_dst, n_src))
     np.add.at(mat, (np.repeat(np.arange(n_dst), 4), taps.ravel()), weights.ravel())
+    mat.setflags(write=False)
     return mat
+
+
+def _resize(arr, target_rows, target_cols):
+    """Bicubic resize; returns arr itself when the shape already matches."""
+    rows, cols = arr.shape
+    if (target_rows, target_cols) == (rows, cols):
+        return arr
+    return _resize_weights(rows, target_rows) @ arr @ _resize_weights(cols, target_cols).T
+
+
+def _thresholds(flat, num_boxes, c_th):
+    """c_th / (1 + exp(2 f)) in place on a 1-D array, then num_boxes copies."""
+    flat *= 2.0
+    np.exp(flat, out=flat)
+    flat += 1.0
+    np.divide(c_th, flat, out=flat)
+    return np.concatenate((flat,) * num_boxes)
+
+
+# -- public stages ----------------------------------------------------------
+
+def shift_min(values, scale_range=False):
+    """Shift the map so its minimum value is exactly zero.
+
+    With scale_range=True the shifted map is also divided by (max - min),
+    mapping values into [0, 1]; a constant map stays all-zero rather than
+    dividing by zero.  The default performs the shift only.
+    """
+    arr = _as_flow_map(values)
+    lo, extent = _extent(arr)
+    return _shift(arr, np.empty_like(arr), lo, extent if scale_range else 0.0)
+
+
+def center_abs_median(values):
+    """Absolute deviation from the map-wide median.
+
+    Values near the median are static pixels and map to ~0; values near either
+    extreme are moving pixels and map to large deviations.
+    """
+    arr = _as_flow_map(values)
+    buf = arr.copy(order="K")
+    median = _median_destructive(buf)
+    np.copyto(buf, arr)
+    return _abs_deviation(buf, median)
+
+
+def squash(values):
+    """Elementwise logistic sigmoid; non-negative inputs land in [0.5, 1)."""
+    return _squash(_as_flow_map(values).copy(order="K"))
 
 
 def resize_bicubic(values, target_rows, target_cols):
     """Separable bicubic resize (Keys kernel, a = -0.5, clamped borders)."""
     arr = _as_flow_map(values)
-    if target_rows < 1 or target_cols < 1:
-        raise ValueError("target dimensions must be >= 1")
-    rows, cols = arr.shape
-    if (target_rows, target_cols) == (rows, cols):
-        return arr.copy()
-    row_w = _resize_weights(rows, target_rows)
-    col_w = _resize_weights(cols, target_cols)
-    return row_w @ arr @ col_w.T
+    _check_target(target_rows, target_cols)
+    out = _resize(arr, target_rows, target_cols)
+    return out.copy() if out is arr else out
 
 
 def vectorize_thresholds(values, num_boxes, c_th):
@@ -114,12 +199,8 @@ def vectorize_thresholds(values, num_boxes, c_th):
     k * rows * cols + i * cols + j.
     """
     arr = _as_flow_map(values)
-    if not 0.0 < c_th <= 1.0:
-        raise ValueError(f"c_th must be in (0, 1], got {c_th}")
-    if num_boxes < 1:
-        raise ValueError("num_boxes must be >= 1")
-    flat = np.tile(arr.ravel(order="C"), num_boxes)
-    return c_th / (1.0 + np.exp(2.0 * flat))
+    _check_thresholds(num_boxes, c_th)
+    return _thresholds(arr.flatten(order="C"), num_boxes, c_th)
 
 
 def process(values, grid_rows, grid_cols, num_boxes, c_th, scale_range=False):
@@ -131,9 +212,27 @@ def process(values, grid_rows, grid_cols, num_boxes, c_th, scale_range=False):
     Bicubic interpolation can overshoot the source range; the resized map is
     clipped back to the squashed map's [min, max] so thresholds keep the
     sigmoid-image bounds (at most c_th/2, at least c_th/(1+e^2)).
-    Runtime is linear in the number of map pixels.
+
+    The map and the parameters are validated once, up front.  Shift,
+    deviation and squash then run in place in one map-size scratch buffer:
+    it holds the shifted map, is partitioned for the median, is refilled with
+    the shifted map, and is turned into deviations and squashed values.  The
+    result equals the composition of the public stages bit for bit, and the
+    input is never modified.  Runtime is linear in the number of map pixels.
     """
-    arr = squash(center_abs_median(shift_min(values, scale_range)))
-    resized = resize_bicubic(arr, grid_rows, grid_cols)
-    np.clip(resized, arr.min(), arr.max(), out=resized)
-    return vectorize_thresholds(resized, num_boxes, c_th)
+    arr = _as_flow_map(values)
+    lo, extent = _extent(arr)
+    if not np.isfinite(extent):
+        # the shifted map overflows; center_abs_median would reject it
+        raise ValueError("flow map contains non-finite values")
+    _check_target(grid_rows, grid_cols)
+    _check_thresholds(num_boxes, c_th)
+    span = extent if scale_range else 0.0
+    buf = _shift(arr, np.empty_like(arr), lo, span)
+    median = _median_destructive(buf)
+    _shift(arr, buf, lo, span)
+    _squash(_abs_deviation(buf, median))
+    resized = _resize(buf, grid_rows, grid_cols)
+    if resized is not buf:
+        np.clip(resized, buf.min(), buf.max(), out=resized)
+    return _thresholds(resized.ravel(order="C"), num_boxes, c_th)

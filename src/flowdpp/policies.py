@@ -28,7 +28,6 @@ __all__ = [
     "reinforce_flops",
     "save_mlp",
     "load_mlp",
-    "policy_decide",
     "make_policy",
     "DppPolicy",
     "AlwaysPolicy",
@@ -331,11 +330,3 @@ def make_policy(kind, params=None, seed=0, coupled_arrival=False):
     if kind is PolicyKind.ALWAYS_H:
         return AlwaysPolicy(ModelChoice.H)
     return ReinforcePolicy(params=params, seed=seed)
-
-
-def policy_decide(kind, state, obs, cfg, rng, q=0.0, params=None):
-    """Functional one-shot decision for a policy kind."""
-    if kind is PolicyKind.REINFORCE and params is None:
-        raise ValueError("reinforce policy needs MLP parameters")
-    policy = make_policy(kind, params=params)
-    return policy.decide(q, obs, cfg, state, rng)

@@ -146,15 +146,15 @@ def generate_frame(scenario, rng, t, regime):
     truth, motions = [], []
     used = np.zeros((sc.grid_rows, sc.grid_cols), dtype=int)
     for _ in range(count):
-        cx, cy = rng.uniform(0.15, 0.85, size=2)
-        w, h = rng.uniform(0.08, 0.25, size=2)
+        cx, cy = rng.uniform(0.15, 0.85, size=2).tolist()
+        w, h = rng.uniform(0.08, 0.25, size=2).tolist()
         motion = motion_scale * rng.uniform(0.5, 1.0) if moving else motion_scale
         truth.append((cx, cy, w, h))
         motions.append(motion)
-        r0 = int(np.clip((cy - h / 2) * sc.flow_rows, 0, sc.flow_rows - 1))
-        r1 = int(np.clip((cy + h / 2) * sc.flow_rows, r0 + 1, sc.flow_rows))
-        c0 = int(np.clip((cx - w / 2) * sc.flow_cols, 0, sc.flow_cols - 1))
-        c1 = int(np.clip((cx + w / 2) * sc.flow_cols, c0 + 1, sc.flow_cols))
+        r0 = int(min(max((cy - h / 2) * sc.flow_rows, 0), sc.flow_rows - 1))
+        r1 = int(min(max((cy + h / 2) * sc.flow_rows, r0 + 1), sc.flow_rows))
+        c0 = int(min(max((cx - w / 2) * sc.flow_cols, 0), sc.flow_cols - 1))
+        c1 = int(min(max((cx + w / 2) * sc.flow_cols, c0 + 1), sc.flow_cols))
         flow[r0:r1, c0:c1] += motion
         i = min(int(cy * sc.grid_rows), sc.grid_rows - 1)
         j = min(int(cx * sc.grid_cols), sc.grid_cols - 1)

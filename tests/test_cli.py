@@ -3,10 +3,10 @@ import configparser
 import numpy as np
 import pytest
 
-from flowdpp import fileio
+from flowdpp import fileio, sim
 from flowdpp.cli import main
 from flowdpp.config import ConfigError, RunConfig, load_config, parse_config, save_config
-from flowdpp.policies import PolicyKind
+from flowdpp.policies import PolicyKind, make_policy
 from flowdpp.sim import GPU_LATENCY
 
 
@@ -276,3 +276,50 @@ class TestCompareCommand:
     def test_timeseries_covers_all_policies(self, compare_dir):
         lines = (compare_dir / "timeseries.csv").read_text().splitlines()
         assert len(lines) == 1 + 4 * 40
+
+
+class TestTraceReplay:
+    def test_round_trip_matches_in_memory_run(self, tmp_path, monkeypatch, capsys):
+        """Frames written to files and replayed through a trace give DPP the
+        same decisions and backlog as the in-memory run on those frames."""
+        cfg_path = tmp_path / "run.ini"
+        trace_path = tmp_path / "trace" / "trace.csv"
+        cfg_path.write_text(
+            f"[run]\npolicy = dpp\ntrace = {trace_path}\nreinforce_train_episodes = 2\n"
+            "reinforce_episode_len = 5\n\n"
+            "[scenario]\nhorizon = 60\nseed = 7\nflow_rows = 12\nflow_cols = 20\n"
+            "grid_rows = 4\ngrid_cols = 5\nmean_objects_stationary = 0.8\n\n"
+            "[controller]\ntie_break = T\n"
+        )
+        cfg = load_config(cfg_path)
+        gen = sim.FrameGenerator(cfg.scenario)
+        frames = [gen.next(t) for t in range(cfg.scenario.horizon)]
+
+        trace_path.parent.mkdir()
+        rows = [",".join(fileio.TRACE_HEADER)]
+        for frame in frames:
+            flow_file, conf_file = f"flow{frame.t}.csv", f"conf{frame.t}.csv"
+            fileio.write_matrix_csv(trace_path.parent / flow_file, frame.flow)
+            fileio.save_grid_csv(trace_path.parent / conf_file, frame.grid)
+            rows.append(f"{frame.t},{frame.regime},{frame.num_objects},{flow_file},{conf_file}")
+        trace_path.write_text("\n".join(rows) + "\n")
+
+        policy = make_policy(PolicyKind.DPP, coupled_arrival=cfg.scenario.couple_arrival)
+        memory = sim.run(cfg.scenario, policy, cfg=cfg.controller, frames=frames,
+                         horizon=len(frames)).records
+        assert {r.alpha.value for r in memory} == {"H", "T"}
+
+        loads = []
+        load_trace = fileio.load_trace
+        monkeypatch.setattr(fileio, "load_trace", lambda p: loads.append(p) or load_trace(p))
+        out_dir = tmp_path / "out"
+        assert main(["compare", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
+        capsys.readouterr()
+        assert loads == [str(trace_path)]
+
+        lines = (out_dir / "timeseries.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        replay = [dict(zip(header, line.split(","))) for line in lines[1:]]
+        replay = [row for row in replay if row["policy"] == "dpp"]
+        assert [row["alpha"] for row in replay] == [r.alpha.value for r in memory]
+        assert [float(row["Q"]) for row in replay] == [r.q_after for r in memory]

@@ -88,10 +88,15 @@ class TestThresholdDetections:
     @settings(max_examples=40)
     def test_scalar_equals_constant_vector(self, seed):
         rng = np.random.default_rng(seed)
-        grid = random_grid(rng)
+        grid = random_grid(rng, rows=2, cols=4, k=3)
         thr = rng.random()
-        vec = np.full(grid.conf.size, thr)
-        assert threshold_detections(grid, thr) == threshold_detections(grid, vec)
+        # confidences on the threshold and one ulp either side of it exercise
+        # the strict comparison
+        grid.conf[0] = rng.choice([thr, np.nextafter(thr, 0.0), np.nextafter(thr, 1.0)],
+                                  size=grid.conf.shape[1:])
+        expected = threshold_detections(grid, np.full(grid.conf.size, thr))
+        for scalar in (thr, np.float64(thr), np.array(thr)):
+            assert threshold_detections(grid, scalar) == expected
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=40)

@@ -20,16 +20,24 @@ def threshold_of(f, c_th=0.5):
 dyadic = st.integers(min_value=-64, max_value=64).map(lambda n: n / 8.0)
 
 
-def dyadic_maps(max_side=6):
+finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
+exp_safe = st.floats(min_value=-300.0, max_value=300.0, allow_nan=False)
+
+
+def float_maps(max_side=7, elements=finite | dyadic):
     return st.integers(min_value=1, max_value=max_side).flatmap(
         lambda rows: st.integers(min_value=1, max_value=max_side).flatmap(
             lambda cols: st.lists(
-                st.lists(dyadic, min_size=cols, max_size=cols),
+                st.lists(elements, min_size=cols, max_size=cols),
                 min_size=rows,
                 max_size=rows,
             )
         )
     ).map(np.array)
+
+
+def dyadic_maps(max_side=6):
+    return float_maps(max_side, dyadic)
 
 
 class TestShiftMin:
@@ -221,3 +229,146 @@ class TestProcess:
         base = flowmap.process(arr, 3, 4, 1, 0.5)
         permuted = flowmap.process(arr.ravel()[perm].reshape(3, 4), 3, 4, 1, 0.5)
         np.testing.assert_allclose(permuted, base[perm], atol=1e-12)
+
+
+def composed(values, grid_rows, grid_cols, num_boxes, c_th, scale_range=False):
+    """process() as the composition of the public stages."""
+    squashed = flowmap.squash(flowmap.center_abs_median(flowmap.shift_min(values, scale_range)))
+    resized = flowmap.resize_bicubic(squashed, grid_rows, grid_cols)
+    np.clip(resized, squashed.min(), squashed.max(), out=resized)
+    return flowmap.vectorize_thresholds(resized, num_boxes, c_th)
+
+
+FIXED_MAPS = {
+    "1x1": np.array([[2.5]]),
+    "1xn": np.arange(7.0)[None, :] ** 2,
+    "nx1": np.arange(6.0)[:, None] * -1.5,
+    "odd count": np.random.default_rng(11).normal(size=(5, 7)),
+    "even count": np.random.default_rng(12).normal(size=(6, 8)),
+    "tied": np.array([[1.0, 1.0, 2.0], [2.0, 1.0, 3.0]]),
+    "constant": np.full((4, 6), 3.3),
+    "fortran order": np.asfortranarray(np.random.default_rng(13).normal(size=(9, 5))),
+    "strided view": np.random.default_rng(14).normal(size=(12, 10))[::2, 1::3],
+}
+
+
+class TestProcessDifferential:
+    """process() runs the stages in one scratch buffer; it must reproduce the
+    stage-by-stage composition bit for bit."""
+
+    @given(float_maps(), st.integers(1, 6), st.integers(1, 6), st.integers(1, 3),
+           st.booleans())
+    @settings(max_examples=150)
+    def test_equals_stage_composition(self, arr, gr, gc, k, scale_range):
+        got = flowmap.process(arr, gr, gc, k, 0.5, scale_range)
+        assert np.array_equal(got, composed(arr, gr, gc, k, 0.5, scale_range))
+
+    @given(float_maps(), st.integers(1, 3), st.booleans())
+    @settings(max_examples=60)
+    def test_equals_composition_on_map_size_grid(self, arr, k, scale_range):
+        rows, cols = arr.shape
+        got = flowmap.process(arr, rows, cols, k, 0.7, scale_range)
+        assert np.array_equal(got, composed(arr, rows, cols, k, 0.7, scale_range))
+
+    @pytest.mark.parametrize("name", sorted(FIXED_MAPS))
+    @pytest.mark.parametrize("scale_range", [False, True])
+    def test_fixed_cases(self, name, scale_range):
+        arr = FIXED_MAPS[name]
+        for grid in [(1, 1), (3, 4), (8, 8), arr.shape]:
+            got = flowmap.process(arr, *grid, 2, 0.5, scale_range)
+            assert np.array_equal(got, composed(arr, *grid, 2, 0.5, scale_range)), grid
+
+    @given(float_maps(), st.booleans())
+    @settings(max_examples=60)
+    def test_never_mutates_input(self, arr, scale_range):
+        for values in (arr, np.asfortranarray(arr), arr[:, ::-1]):
+            before = values.copy()
+            flowmap.process(values, 2, 3, 2, 0.5, scale_range)
+            flowmap.process(values, *values.shape, 1, 0.5, scale_range)
+            assert np.array_equal(values, before)
+
+    def test_validates_before_any_work(self):
+        arr = np.ones((4, 4))
+        with pytest.raises(ValueError, match="target"):
+            flowmap.process(arr, 0, 2, 1, 0.5)
+        with pytest.raises(ValueError, match="c_th"):
+            flowmap.process(arr, 2, 2, 1, 0.0)
+        with pytest.raises(ValueError, match="num_boxes"):
+            flowmap.process(arr, 2, 2, 0, 0.5)
+        with pytest.raises(ValueError, match="non-finite"):
+            flowmap.process([[1.0, np.inf]], 2, 2, 1, 0.5)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("scale_range", [False, True])
+    def test_overflowing_range_rejected_like_stages(self, scale_range):
+        # finite map whose shifted copy overflows to infinity
+        arr = np.array([[-1e308, 0.0, 1e308]])
+        for pipeline in (flowmap.process, composed):
+            with pytest.raises(ValueError, match="non-finite"):
+                pipeline(arr, 1, 2, 1, 0.5, scale_range)
+
+
+class TestStagesMatchPlainNumpy:
+    """Each public stage equals its textbook numpy expression."""
+
+    @given(float_maps(), st.booleans())
+    def test_shift_min(self, arr, scale_range):
+        expected = arr - arr.min()
+        if scale_range and expected.max() > 0.0:
+            expected = expected / expected.max()
+        assert np.array_equal(flowmap.shift_min(arr, scale_range), expected)
+
+    @given(float_maps())
+    def test_center_abs_median(self, arr):
+        assert np.array_equal(flowmap.center_abs_median(arr), np.abs(arr - np.median(arr)))
+
+    @given(float_maps(elements=exp_safe))
+    def test_squash(self, arr):
+        assert np.array_equal(flowmap.squash(arr), 1.0 / (1.0 + np.exp(-arr)))
+
+    @given(float_maps(elements=exp_safe), st.integers(1, 3))
+    def test_vectorize_thresholds(self, arr, k):
+        expected = 0.5 / (1.0 + np.exp(2.0 * np.tile(arr.ravel(), k)))
+        assert np.array_equal(flowmap.vectorize_thresholds(arr, k, 0.5), expected)
+
+    @given(float_maps(), st.integers(1, 6), st.integers(1, 6))
+    def test_resize_bicubic(self, arr, gr, gc):
+        rows, cols = arr.shape
+        if (gr, gc) == (rows, cols):
+            expected = arr
+        else:
+            build = flowmap._resize_weights.__wrapped__
+            expected = build(rows, gr) @ arr @ build(cols, gc).T
+        assert np.array_equal(flowmap.resize_bicubic(arr, gr, gc), expected)
+
+
+class TestMedianHelper:
+    @given(float_maps(max_side=9))
+    def test_equals_np_median(self, arr):
+        expected = np.median(arr)
+        got = flowmap._median_destructive(arr.copy())
+        assert got == expected and type(got) is type(expected)
+
+    @pytest.mark.parametrize("values", [[4.0], [2.0, 1.0], [3.0, 1.0, 2.0], [1.0, 1.0, 1.0, 5.0],
+                                        [-0.0, 0.0], [7.0, -1.0, 7.0, 7.0, -1.0, 2.0]])
+    def test_small_cases(self, values):
+        assert flowmap._median_destructive(np.array([values])) == np.median(values)
+
+    def test_camera_size_map(self):
+        arr = np.random.default_rng(5).normal(size=(375, 1242))
+        assert flowmap._median_destructive(arr.copy()) == np.median(arr)
+
+
+class TestResizeWeightCache:
+    @pytest.mark.parametrize("n_src,n_dst", [(32, 8), (1242, 8), (5, 5), (3, 11), (1, 4)])
+    def test_read_only_and_equal_to_fresh(self, n_src, n_dst):
+        cached = flowmap._resize_weights(n_src, n_dst)
+        assert cached is flowmap._resize_weights(n_src, n_dst)
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached[0, 0] = 1.0
+        fresh = flowmap._resize_weights.__wrapped__(n_src, n_dst)
+        assert np.array_equal(cached, fresh)
+
+    def test_cache_is_bounded(self):
+        assert flowmap._resize_weights.cache_info().maxsize is not None
