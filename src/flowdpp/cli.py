@@ -131,7 +131,12 @@ def _build_policy(cfg, kind):
 
 def _load_frames(cfg):
     """The configured replay trace's frames, or None to generate frames."""
-    return fileio.load_trace(cfg.trace) if cfg.trace else None
+    if not cfg.trace:
+        return None
+    try:
+        return fileio.load_trace(cfg.trace)
+    except (OSError, ValueError) as exc:
+        raise InputError(str(exc)) from exc
 
 
 def _run_one(cfg, kind, frames):

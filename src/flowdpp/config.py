@@ -104,14 +104,13 @@ def parse_config(parser, source="<config>"):
             if key not in known[section]:
                 raise ConfigError(f"{where}: unknown key")
             targets[section][key] = _convert(raw, known[section][key], where)
-    try:
-        return RunConfig(
-            scenario=ScenarioConfig(**scenario_kwargs),
-            controller=ControllerConfig(**controller_kwargs),
-            **run_kwargs,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{source}: {exc}") from exc
+    sections = {}
+    for section, cls in (("scenario", ScenarioConfig), ("controller", ControllerConfig)):
+        try:
+            sections[section] = cls(**targets[section])
+        except ValueError as exc:
+            raise ConfigError(f"{source}: [{section}] {exc}") from exc
+    return RunConfig(**sections, **run_kwargs)
 
 
 def load_config(path):

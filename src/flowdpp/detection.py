@@ -40,12 +40,24 @@ class ConfidenceGrid:
             raise ValueError(f"confidence tensor must be 3-D and non-empty, got {conf.shape}")
         if boxes.shape != conf.shape + (4,):
             raise ValueError(f"boxes shape {boxes.shape} does not match conf shape {conf.shape}")
-        if conf.min() < 0.0 or conf.max() > 1.0:
+        # written so that NaN fails the comparisons
+        if not (conf.min() >= 0.0 and conf.max() <= 1.0):
             raise ValueError("confidences must lie in [0, 1]")
-        if np.any(boxes[..., 2:] < 0.0):
+        if not np.all(boxes[..., 2:] >= 0.0):
             raise ValueError("box width/height must be >= 0")
         object.__setattr__(self, "conf", conf)
         object.__setattr__(self, "boxes", boxes)
+
+    @classmethod
+    def _unchecked(cls, conf, boxes):
+        """Wrap float64 arrays that already satisfy every check above, for a
+        producer that guarantees them by construction (the simulator's frame
+        generator); data from outside goes through the checking constructor.
+        """
+        grid = object.__new__(cls)
+        object.__setattr__(grid, "conf", conf)
+        object.__setattr__(grid, "boxes", boxes)
+        return grid
 
     @property
     def shape(self):

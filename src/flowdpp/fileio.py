@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from .detection import ConfidenceGrid
+from .flowmap import check_flow_map
 
 __all__ = [
     "FLO_MAGIC",
@@ -131,7 +132,8 @@ def load_trace(path):
     a flow map and a confidence grid (relative to the trace file).
 
     Returns FrameObservations with empty ground truth (external traces carry
-    detections, not labels).
+    detections, not labels).  Each flow map is checked as it loads, because
+    the simulator skips the flow map of a frame with an empty grid.
     """
     from .sim import FrameObservation  # deferred: sim imports this module's peers
 
@@ -142,7 +144,11 @@ def load_trace(path):
         if reader.fieldnames != TRACE_HEADER:
             raise ValueError(f"{path}: expected header {TRACE_HEADER}, got {reader.fieldnames}")
         for row in reader:
-            flow = load_flow_map(base / row["flow_file"])
+            flow_path = base / row["flow_file"]
+            try:
+                flow = check_flow_map(load_flow_map(flow_path))
+            except ValueError as exc:
+                raise ValueError(f"{flow_path}: {exc}") from exc
             grid = load_grid_csv(base / row["conf_file"])
             frames.append(
                 FrameObservation(

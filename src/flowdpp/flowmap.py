@@ -17,6 +17,7 @@ which equals np.median bit for bit.  Resize matrices are cached per
 """
 
 import functools
+import math
 
 import numpy as np
 
@@ -27,17 +28,43 @@ __all__ = [
     "resize_bicubic",
     "vectorize_thresholds",
     "process",
+    "check_flow_map",
 ]
+
+_NON_FINITE = "flow map contains non-finite values"
+
+
+def _as_matrix(values):
+    """Return a flow map as a 2-D float64 array, checking only its shape."""
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim != 2 or arr.size == 0:
+        raise ValueError(f"flow map must be a non-empty 2-D matrix, got shape {arr.shape}")
+    return arr
 
 
 def _as_flow_map(values):
     """Validate and return a flow map as a 2-D float64 array."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 2 or arr.size == 0:
-        raise ValueError(f"flow map must be a non-empty 2-D matrix, got shape {arr.shape}")
+    arr = _as_matrix(values)
     if not np.all(np.isfinite(arr)):
-        raise ValueError("flow map contains non-finite values")
+        raise ValueError(_NON_FINITE)
     return arr
+
+
+def _checked_extent(values):
+    """(map, min, max - min), rejecting what the full pipeline cannot take.
+
+    max - min equals max(arr - min) exactly, because rounding a difference is
+    monotone in its first operand.  min and max carry NaN, -inf shows in the
+    min and +inf in the range, so one min and one max pass check every value;
+    the range is also infinite when a finite map's shifted copy overflows
+    float64.  Python floats overflow without a numpy warning.
+    """
+    arr = _as_matrix(values)
+    lo = float(arr.min())
+    extent = float(arr.max()) - lo
+    if not (math.isfinite(lo) and math.isfinite(extent)):
+        raise ValueError(_NON_FINITE)
+    return arr, lo, extent
 
 
 def _check_target(target_rows, target_cols):
@@ -53,17 +80,6 @@ def _check_thresholds(num_boxes, c_th):
 
 
 # -- kernels: arithmetic shared by the public stages and process ------------
-
-def _extent(arr):
-    """(min, max - min) of a map.
-
-    max - min equals max(arr - min) exactly, because rounding a difference is
-    monotone in its first operand; it is infinite when the shifted map
-    overflows.
-    """
-    lo = arr.min()
-    return lo, arr.max() - lo
-
 
 def _shift(arr, out, lo, span):
     """out = (arr - lo) / span, skipping the division unless span > 0."""
@@ -157,10 +173,10 @@ def shift_min(values, scale_range=False):
 
     With scale_range=True the shifted map is also divided by (max - min),
     mapping values into [0, 1]; a constant map stays all-zero rather than
-    dividing by zero.  The default performs the shift only.
+    dividing by zero.  The default performs the shift only.  A map whose
+    range overflows float64 is rejected like a non-finite one.
     """
-    arr = _as_flow_map(values)
-    lo, extent = _extent(arr)
+    arr, lo, extent = _checked_extent(values)
     return _shift(arr, np.empty_like(arr), lo, extent if scale_range else 0.0)
 
 
@@ -210,21 +226,19 @@ def process(values, grid_rows, grid_cols, num_boxes, c_th, scale_range=False):
     taking deviations (see shift_min).
 
     Bicubic interpolation can overshoot the source range; the resized map is
-    clipped back to the squashed map's [min, max] so thresholds keep the
-    sigmoid-image bounds (at most c_th/2, at least c_th/(1+e^2)).
+    clipped back to the squashed map's [min, max].  Squashed deviations lie
+    in [0.5, 1], so every threshold lies in [c_th/(1+e^2), c_th/(1+e)] up to
+    rounding: positive, and below c_th.
 
-    The map and the parameters are validated once, up front.  Shift,
-    deviation and squash then run in place in one map-size scratch buffer:
-    it holds the shifted map, is partitioned for the median, is refilled with
-    the shifted map, and is turned into deviations and squashed values.  The
+    The map (see check_flow_map) and the parameters are validated once, up
+    front.  Shift, deviation and squash then run in place in one map-size
+    scratch buffer: it holds the shifted map, is partitioned for the median,
+    is refilled with the shifted map, and is turned into deviations and
+    squashed values.  The
     result equals the composition of the public stages bit for bit, and the
     input is never modified.  Runtime is linear in the number of map pixels.
     """
-    arr = _as_flow_map(values)
-    lo, extent = _extent(arr)
-    if not np.isfinite(extent):
-        # the shifted map overflows; center_abs_median would reject it
-        raise ValueError("flow map contains non-finite values")
+    arr, lo, extent = _checked_extent(values)
     _check_target(grid_rows, grid_cols)
     _check_thresholds(num_boxes, c_th)
     span = extent if scale_range else 0.0
@@ -234,5 +248,17 @@ def process(values, grid_rows, grid_cols, num_boxes, c_th, scale_range=False):
     _squash(_abs_deviation(buf, median))
     resized = _resize(buf, grid_rows, grid_cols)
     if resized is not buf:
-        np.clip(resized, buf.min(), buf.max(), out=resized)
+        np.maximum(resized, buf.min(), out=resized)
+        np.minimum(resized, buf.max(), out=resized)
     return _thresholds(resized.ravel(order="C"), num_boxes, c_th)
+
+
+def check_flow_map(values):
+    """Validate a flow map exactly as process does and return it as a 2-D
+    float64 array.
+
+    Rejects an empty or non-2-D map, a non-finite value, and a finite map
+    whose range max - min overflows float64.  Lets a caller that may skip
+    process on some frames, such as trace replay, reject such maps up front.
+    """
+    return _checked_extent(values)[0]

@@ -104,6 +104,24 @@ class ScenarioConfig:
         for name in ("base_latency_h", "base_latency_t"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be > 0")
+        # Checked here, once per run, because emulate_detector skips
+        # thresholding and NMS (and their checks) on empty frames and
+        # generate_frame builds grids without re-checking them.
+        for name in ("flow_rows", "flow_cols", "grid_rows", "grid_cols", "boxes_per_cell"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if not 0.0 < self.c_th <= 1.0:
+            raise ValueError(f"c_th must be in (0, 1], got {self.c_th}")
+        for name in ("recoverable_conf", "detected_conf", "false_conf"):
+            span = getattr(self, name)
+            if len(span) != 2 or not 0.0 <= span[0] <= span[1] <= 1.0:
+                raise ValueError(
+                    f"{name} must be a range (lo, hi) with 0 <= lo <= hi <= 1, got {span}"
+                )
+        if not 0.0 <= self.nms_iou <= 1.0:
+            raise ValueError(f"nms_iou must be in [0, 1], got {self.nms_iou}")
+        if not 0.0 < self.match_iou <= 1.0:
+            raise ValueError(f"match_iou must be in (0, 1], got {self.match_iou}")
 
 
 @dataclass(frozen=True)
@@ -180,7 +198,10 @@ def generate_frame(scenario, rng, t, regime):
             rng.uniform(0.05, 0.15),
             rng.uniform(0.05, 0.15),
         )
-    return FrameObservation(t, regime, truth, motions, flow, ConfidenceGrid(conf, boxes))
+    # every confidence is drawn from a checked range and every size is
+    # positive, so the grid needs no re-validation
+    grid = ConfidenceGrid._unchecked(conf, boxes)
+    return FrameObservation(t, regime, truth, motions, flow, grid)
 
 
 class FrameGenerator:
@@ -207,19 +228,28 @@ def emulate_detector(frame, alpha, scenario):
     pre-NMS detections are a superset of T's.  Latency is base plus a
     per-object term on the frame's true object count.
 
+    A frame whose grid holds no positive confidence yields no detections
+    under either variant, because every threshold is positive (c_th > 0, and
+    the flow-lowered ones are at least c_th/(1+e^2)); such a frame skips the
+    flow map, thresholding and NMS.
+
     Returns (post-NMS detections, detected count, seconds per cycle).
     """
     sc = scenario
     if alpha is ModelChoice.H:
+        base, per_obj = sc.base_latency_h, sc.per_object_latency_h
+    else:
+        base, per_obj = sc.base_latency_t, sc.per_object_latency_t
+    p = base + per_obj * frame.num_objects
+    if not frame.grid.conf.any():
+        return [], 0, p
+    if alpha is ModelChoice.H:
         thresholds = flowmap.process(
             frame.flow, sc.grid_rows, sc.grid_cols, sc.boxes_per_cell, sc.c_th
         )
-        base, per_obj = sc.base_latency_h, sc.per_object_latency_h
     else:
         thresholds = sc.c_th
-        base, per_obj = sc.base_latency_t, sc.per_object_latency_t
     dets = nms(threshold_detections(frame.grid, thresholds), sc.nms_iou)
-    p = base + per_obj * frame.num_objects
     return dets, len(dets), p
 
 
@@ -324,10 +354,19 @@ def run(scenario, policy, cfg=None, horizon=None, frames=None, seed=None, collec
     """Run a full simulation; deterministic given (scenario, policy, seed).
 
     frames may supply pre-generated or trace-loaded FrameObservations in
-    place of the built-in generator.
+    place of the built-in generator; their grids must have the scenario's
+    shape, checked up front because empty frames skip thresholding.
     """
     cfg = cfg or ControllerConfig()
     horizon = scenario.horizon if horizon is None else horizon
+    if frames is not None:
+        shape = (scenario.grid_rows, scenario.grid_cols, scenario.boxes_per_cell)
+        for frame in frames[:horizon]:
+            if frame.grid.shape != shape:
+                raise ValueError(
+                    f"frame {frame.t}: grid shape {frame.grid.shape} does not match "
+                    f"the scenario's {shape}"
+                )
     base_seed = scenario.seed if seed is None else seed
     seed_seq = list(base_seed) if isinstance(base_seed, (tuple, list)) else [base_seed]
     gen = FrameGenerator(scenario, seed=seed_seq)

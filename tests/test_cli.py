@@ -6,6 +6,7 @@ import pytest
 from flowdpp import fileio, sim
 from flowdpp.cli import main
 from flowdpp.config import ConfigError, RunConfig, load_config, parse_config, save_config
+from flowdpp.detection import ConfidenceGrid
 from flowdpp.policies import PolicyKind, make_policy
 from flowdpp.sim import GPU_LATENCY
 
@@ -323,3 +324,62 @@ class TestTraceReplay:
         replay = [row for row in replay if row["policy"] == "dpp"]
         assert [row["alpha"] for row in replay] == [r.alpha.value for r in memory]
         assert [float(row["Q"]) for row in replay] == [r.q_after for r in memory]
+
+
+class TestTraceInputErrors:
+    """A bad replay trace is an input error (exit 2) for simulate and compare,
+    reported before any output is written."""
+
+    def write_trace(self, tmp_path, flow_text="0,1\n2,3\n", header=",".join(fileio.TRACE_HEADER)):
+        trace_dir = tmp_path / "trace"
+        trace_dir.mkdir()
+        (trace_dir / "flow0.csv").write_text(flow_text)
+        # an all-zero grid: the simulator never needs this frame's flow map
+        fileio.save_grid_csv(
+            trace_dir / "conf0.csv",
+            ConfidenceGrid(np.zeros((2, 2, 1)), np.zeros((2, 2, 1, 4))),
+        )
+        trace_path = trace_dir / "trace.csv"
+        trace_path.write_text(f"{header}\n0,stationary,0,flow0.csv,conf0.csv\n")
+        return trace_path
+
+    def write_run_config(self, tmp_path, trace_path):
+        return write_config(
+            tmp_path,
+            f"[run]\ntrace = {trace_path}\nreinforce_train_episodes = 1\n"
+            "reinforce_episode_len = 3\n\n"
+            "[scenario]\nflow_rows = 2\nflow_cols = 2\ngrid_rows = 2\ngrid_cols = 2\n"
+            "boxes_per_cell = 1\n",
+        )
+
+    def assert_exits_2(self, tmp_path, trace_path, capsys, message):
+        cfg_path = self.write_run_config(tmp_path, trace_path)
+        for command in ("simulate", "compare"):
+            out_dir = tmp_path / command
+            assert main([command, "--config", str(cfg_path), "--out", str(out_dir)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and message in err
+            assert not (out_dir / "timeseries.csv").exists()
+
+    def test_valid_trace_runs(self, tmp_path, capsys):
+        cfg_path = self.write_run_config(tmp_path, self.write_trace(tmp_path))
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+        capsys.readouterr()
+
+    def test_missing_trace_file(self, tmp_path, capsys):
+        self.assert_exits_2(tmp_path, tmp_path / "none.csv", capsys, "none.csv")
+
+    def test_missing_flow_file(self, tmp_path, capsys):
+        trace_path = self.write_trace(tmp_path)
+        (trace_path.parent / "flow0.csv").unlink()
+        self.assert_exits_2(tmp_path, trace_path, capsys, "flow0.csv")
+
+    def test_bad_header(self, tmp_path, capsys):
+        trace_path = self.write_trace(tmp_path, header="t,regime,objects,flow,conf")
+        self.assert_exits_2(tmp_path, trace_path, capsys, "expected header")
+
+    @pytest.mark.parametrize("flow_text", ["0,nan\n2,3\n", "0,inf\n2,3\n", "-1e308,0\n1e308,3\n"])
+    def test_non_finite_flow_map_on_empty_grid(self, tmp_path, capsys, flow_text):
+        trace_path = self.write_trace(tmp_path, flow_text=flow_text)
+        message = "flow0.csv: flow map contains non-finite"
+        self.assert_exits_2(tmp_path, trace_path, capsys, message)

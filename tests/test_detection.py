@@ -52,6 +52,18 @@ class TestConfidenceGrid:
         with pytest.raises(ValueError):
             ConfidenceGrid(np.zeros((1, 1, 1)), boxes)
 
+    @pytest.mark.parametrize("where", [(0, 0, 0), (1, 2, 1)])
+    def test_rejects_nan(self, where):
+        conf = np.zeros((2, 3, 2))
+        conf[where] = np.nan
+        with pytest.raises(ValueError, match="confidences"):
+            ConfidenceGrid(conf, np.zeros((2, 3, 2, 4)))
+        for size in (2, 3):
+            boxes = np.zeros((2, 3, 2, 4))
+            boxes[where + (size,)] = np.nan
+            with pytest.raises(ValueError, match="width/height"):
+                ConfidenceGrid(np.zeros((2, 3, 2)), boxes)
+
 
 class TestThresholdDetections:
     def test_strictly_above(self):

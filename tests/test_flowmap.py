@@ -60,6 +60,13 @@ class TestShiftMin:
         with pytest.raises(ValueError):
             flowmap.shift_min([[1.0, np.nan]])
 
+    @pytest.mark.parametrize("scale_range", [False, True])
+    def test_rejects_overflowing_range(self, scale_range):
+        # finite map whose shifted copy would hold inf (and nan once scaled)
+        for arr in ([[-1e308, 0.0, 1e308]], [[1.7e308], [-1.7e308]]):
+            with pytest.raises(ValueError, match="non-finite"):
+                flowmap.shift_min(arr, scale_range)
+
     @given(dyadic_maps())
     def test_min_is_zero(self, arr):
         assert flowmap.shift_min(arr).min() == 0.0
@@ -198,6 +205,17 @@ class TestProcess:
         assert np.all(out >= 0.5 / (1 + math.e**2) - 1e-12)
         assert np.all(out <= 0.25 + 1e-12)
 
+    @given(float_maps(), st.integers(1, 6), st.integers(1, 6), st.integers(1, 3),
+           st.floats(min_value=1e-6, max_value=1.0), st.booleans())
+    @settings(max_examples=150)
+    def test_thresholds_between_sigmoid_image_bounds(self, arr, gr, gc, k, c_th, scale_range):
+        # squashed deviations lie in [0.5, 1], so thresholds lie in
+        # [c_th/(1+e^2), c_th/(1+e)], up to a few ulps of rounding
+        out = flowmap.process(arr, gr, gc, k, c_th, scale_range)
+        slack = 8 * np.finfo(np.float64).eps
+        assert out.min() >= c_th / (1 + math.e**2) * (1 - slack)
+        assert out.max() <= c_th / (1 + math.e) * (1 + slack)
+
     @given(dyadic_maps(), dyadic)
     @settings(max_examples=60)
     def test_translation_invariance_exact(self, arr, c):
@@ -297,6 +315,29 @@ class TestProcessDifferential:
             flowmap.process(arr, 2, 2, 0, 0.5)
         with pytest.raises(ValueError, match="non-finite"):
             flowmap.process([[1.0, np.inf]], 2, 2, 1, 0.5)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @given(float_maps(elements=finite | dyadic | st.sampled_from(
+        [np.nan, np.inf, -np.inf, 1e308, -1e308, 1.7976931348623157e308])))
+    @settings(max_examples=200)
+    def test_check_flow_map_rejects_what_stages_reject(self, arr):
+        # one min and one max pass stand in for the elementwise isfinite pass
+        # plus the range check
+        ok = bool(np.all(np.isfinite(arr))) and bool(np.isfinite(arr.max() - arr.min()))
+        if ok:
+            assert np.array_equal(flowmap.check_flow_map(arr), arr)
+            flowmap.process(arr, 2, 2, 1, 0.5)
+        else:
+            for check in (flowmap.check_flow_map, flowmap.shift_min,
+                          lambda a: flowmap.process(a, 2, 2, 1, 0.5)):
+                with pytest.raises(ValueError, match="non-finite"):
+                    check(arr)
+
+    def test_check_flow_map_rejects_bad_shapes(self):
+        for values in (np.empty((0, 3)), [1.0, 2.0], np.ones((2, 2, 2))):
+            with pytest.raises(ValueError, match="2-D"):
+                flowmap.check_flow_map(values)
+        assert flowmap.check_flow_map([[1, 2]]).dtype == np.float64
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("scale_range", [False, True])

@@ -1,16 +1,18 @@
+import configparser
 import dataclasses
 
 import numpy as np
 import pytest
 
 from flowdpp import sim
+from flowdpp.config import ConfigError, parse_config
 from flowdpp.controller import (
     ControllerConfig,
     ModelChoice,
     drift_bound_check,
     queue_update,
 )
-from flowdpp.detection import threshold_detections
+from flowdpp.detection import ConfidenceGrid, nms, threshold_detections
 from flowdpp.policies import AlwaysPolicy, PolicyKind, UniformRandomPolicy, make_policy
 from flowdpp import flowmap
 
@@ -184,3 +186,179 @@ class TestTrainReinforce:
         sim.run(dataclasses.replace(sc, horizon=8), UniformRandomPolicy(),
                 collect=episode)
         assert len(episode) == 8
+
+
+def full_detector(frame, alpha, scenario):
+    """emulate_detector without the empty-grid shortcut: always threshold and
+    suppress, with flow-lowered thresholds for H and c_th for T."""
+    sc = scenario
+    if alpha is ModelChoice.H:
+        thresholds = flowmap.process(
+            frame.flow, sc.grid_rows, sc.grid_cols, sc.boxes_per_cell, sc.c_th
+        )
+        base, per_obj = sc.base_latency_h, sc.per_object_latency_h
+    else:
+        thresholds = sc.c_th
+        base, per_obj = sc.base_latency_t, sc.per_object_latency_t
+    dets = nms(threshold_detections(frame.grid, thresholds), sc.nms_iou)
+    return dets, len(dets), base + per_obj * frame.num_objects
+
+
+# Scenarios whose confidences fall on both sides of the flow-lowered
+# thresholds (at least c_th / (1 + e^2), about 0.06 for c_th = 0.5), so the
+# two paths differ in what they admit, not only in empty frames.
+DIFFERENTIAL_SCENARIOS = {
+    "tiny": tiny_scenario(),
+    "benchmark": sim.benchmark_config(seed=4, horizon=150)[0],
+    "low confidences": tiny_scenario(
+        mean_objects_driving=3.0, mean_objects_stationary=0.5, miss_prob=0.7,
+        recoverable_conf=(0.0, 0.2), false_positive_rate=1.0, false_conf=(0.0, 0.1),
+    ),
+    "strict": tiny_scenario(
+        c_th=1.0, boxes_per_cell=1, nms_iou=0.0, detected_conf=(0.9, 1.0),
+        flow_rows=9, flow_cols=13, grid_rows=3, grid_cols=5,
+    ),
+}
+
+
+def generated_frames(sc, seeds=(0, 1, 2), steps=60):
+    for seed in seeds:
+        gen = sim.FrameGenerator(sc, seed=seed)
+        yield from (gen.next(t) for t in range(steps))
+
+
+class TestEmptyGridShortcut:
+    """emulate_detector skips the flow map, thresholding and NMS on frames
+    whose grid has no positive confidence; outputs must not change."""
+
+    @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_SCENARIOS))
+    def test_equals_full_path(self, name):
+        sc = DIFFERENTIAL_SCENARIOS[name]
+        empty = non_empty = 0
+        for frame in generated_frames(sc):
+            if frame.grid.conf.any():
+                non_empty += 1
+            else:
+                empty += 1
+            for alpha in (ModelChoice.H, ModelChoice.T):
+                assert sim.emulate_detector(frame, alpha, sc) == full_detector(frame, alpha, sc)
+        assert empty > 0 and non_empty > 0
+
+    def test_tiny_positive_confidence_is_not_empty(self, monkeypatch):
+        sc = tiny_scenario()
+        frame = sim.generate_frame(
+            dataclasses.replace(sc, mean_objects_stationary=0.0, false_positive_rate=0.0),
+            np.random.default_rng(0), 0, sim.STATIONARY,
+        )
+        conf = frame.grid.conf.copy()
+        conf[1, 2, 0] = 5e-324
+        frame = dataclasses.replace(frame, grid=ConfidenceGrid(conf, frame.grid.boxes))
+        calls = []
+        process = flowmap.process
+        monkeypatch.setattr(flowmap, "process", lambda *a: calls.append(a) or process(*a))
+        for alpha in (ModelChoice.H, ModelChoice.T):
+            assert sim.emulate_detector(frame, alpha, sc) == full_detector(frame, alpha, sc)
+        assert len(calls) == 2  # once from each H path
+
+    def test_process_not_called_on_empty_grids(self, monkeypatch):
+        sc = DIFFERENTIAL_SCENARIOS["benchmark"]
+        calls = []
+        process = flowmap.process
+        monkeypatch.setattr(flowmap, "process", lambda *a: calls.append(a) or process(*a))
+        expected = 0
+        for frame in generated_frames(sc, seeds=(0,), steps=150):
+            before = len(calls)
+            sim.emulate_detector(frame, ModelChoice.H, sc)
+            sim.emulate_detector(frame, ModelChoice.T, sc)
+            if frame.grid.conf.any():
+                expected += 1
+                assert len(calls) == before + 1
+            else:
+                assert len(calls) == before
+        assert 0 < expected < 150
+        assert len(calls) == expected
+
+    @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_SCENARIOS))
+    def test_run_equals_full_path_run(self, name, monkeypatch):
+        sc = dataclasses.replace(DIFFERENTIAL_SCENARIOS[name], horizon=120)
+        cfg = ControllerConfig(tie_break=ModelChoice.T)
+
+        def records():
+            policies = [
+                make_policy(PolicyKind.DPP, coupled_arrival=True),
+                make_policy(PolicyKind.ALWAYS_H),
+                make_policy(PolicyKind.REINFORCE, seed=3),
+                UniformRandomPolicy(),
+            ]
+            return [sim.run(sc, policy, cfg=cfg).records for policy in policies]
+
+        fast = records()
+        monkeypatch.setattr(sim, "emulate_detector", full_detector)
+        assert records() == fast
+
+    @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_SCENARIOS))
+    def test_generated_grids_pass_validation(self, name):
+        for frame in generated_frames(DIFFERENTIAL_SCENARIOS[name]):
+            checked = ConfidenceGrid(frame.grid.conf, frame.grid.boxes)
+            assert checked.conf.dtype == frame.grid.conf.dtype == np.float64
+            assert checked.boxes.dtype == frame.grid.boxes.dtype == np.float64
+            np.testing.assert_array_equal(checked.conf, frame.grid.conf)
+            np.testing.assert_array_equal(checked.boxes, frame.grid.boxes)
+
+    def test_run_rejects_frames_of_another_grid_shape(self):
+        sc = tiny_scenario(horizon=5)
+        frames = list(generated_frames(dataclasses.replace(sc, grid_cols=5), (0,), 5))
+        with pytest.raises(ValueError, match="grid shape"):
+            sim.run(sc, AlwaysPolicy(ModelChoice.T), frames=frames, horizon=5)
+
+
+# Out-of-range scenario values, each rejected once when the scenario is built
+# rather than on every frame.
+BAD_SCENARIO_VALUES = [
+    ("c_th", 0.0),
+    ("c_th", -0.5),
+    ("c_th", 1.5),
+    ("c_th", float("nan")),
+    ("recoverable_conf", (0.48, 0.30)),
+    ("recoverable_conf", (-0.1, 0.3)),
+    ("recoverable_conf", (0.3, float("nan"))),
+    ("detected_conf", (0.55, 1.05)),
+    ("detected_conf", (0.5, 0.6, 0.7)),
+    ("false_conf", (0.4, 0.26)),
+    ("false_conf", (1.1, 1.2)),
+    ("nms_iou", -0.1),
+    ("nms_iou", 1.5),
+    ("nms_iou", float("nan")),
+    ("match_iou", 0.0),
+    ("match_iou", 1.01),
+    ("grid_rows", 0),
+    ("flow_cols", 0),
+    ("boxes_per_cell", 0),
+]
+
+
+def _ini_value(value):
+    if isinstance(value, tuple):
+        return ",".join(repr(v) for v in value)
+    return repr(value)
+
+
+class TestScenarioChecks:
+    @pytest.mark.parametrize("key,value", BAD_SCENARIO_VALUES)
+    def test_scenario_rejects(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must"):
+            sim.ScenarioConfig(**{key: value})
+
+    @pytest.mark.parametrize("key,value", BAD_SCENARIO_VALUES)
+    def test_ini_reports_location(self, key, value):
+        parser = configparser.ConfigParser()
+        parser.read_string(f"[scenario]\n{key} = {_ini_value(value)}\n")
+        with pytest.raises(ConfigError, match=rf"^test\.ini: \[scenario\] {key} must"):
+            parse_config(parser, source="test.ini")
+
+    def test_boundary_values_accepted(self):
+        sim.ScenarioConfig(
+            c_th=1.0, nms_iou=0.0, match_iou=1.0, recoverable_conf=(0.0, 0.0),
+            detected_conf=(1.0, 1.0), false_conf=(0.0, 1.0),
+        )
+        sim.ScenarioConfig(nms_iou=1.0, c_th=1e-9)
