@@ -126,7 +126,7 @@ def _build_policy(cfg, kind):
             policy=policy,
         )
         return policy
-    return make_policy(kind, coupled_arrival=cfg.scenario.couple_arrival)
+    return make_policy(kind)
 
 
 def _load_frames(cfg):
@@ -134,15 +134,16 @@ def _load_frames(cfg):
     if not cfg.trace:
         return None
     try:
-        return fileio.load_trace(cfg.trace)
+        frames = fileio.load_trace(cfg.trace)
+        sim.check_frames(frames, cfg.scenario)
     except (OSError, ValueError) as exc:
         raise InputError(str(exc)) from exc
+    return frames
 
 
 def _run_one(cfg, kind, frames):
     policy = _build_policy(cfg, kind)
-    horizon = len(frames) if frames is not None else None
-    result = sim.run(cfg.scenario, policy, cfg=cfg.controller, frames=frames, horizon=horizon)
+    result = sim.run(cfg.scenario, policy, cfg=cfg.controller, frames=frames)
     return result, sim.summarize(result)
 
 

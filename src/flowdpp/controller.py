@@ -72,6 +72,7 @@ class StepObservation:
     num_t: int
     p_h: float = 0.0  # seconds per cycle when running H
     p_t: float = 0.0
+    coupled_arrival: bool = False  # arrivals follow the chosen model's cycle time
 
     def latency(self, alpha):
         return self.p_h if alpha is ModelChoice.H else self.p_t
@@ -103,26 +104,26 @@ def performance(alpha, num_h, num_t, cfg):
     return cfg.w_p * num_h if alpha is ModelChoice.H else float(num_t)
 
 
-def dpp_score(alpha, q, obs, cfg, coupled_arrival=False):
+def dpp_score(alpha, q, obs, cfg):
     """Drift-plus-penalty score V*P(alpha) + Q*b(alpha).
 
-    With coupled_arrival the arrival rate depends on the chosen model's cycle
-    time, so the drift term becomes Q*(a(alpha) - b(alpha)) and the score is
-    V*P(alpha) + Q*(b(alpha) - w_fps*p(alpha)).  The default keeps the plain
-    rule, which treats arrivals as uncontrollable.
+    With obs.coupled_arrival the arrival rate depends on the chosen model's
+    cycle time, so the drift term becomes Q*(a(alpha) - b(alpha)) and the
+    score is V*P(alpha) + Q*(b(alpha) - w_fps*p(alpha)).  Otherwise arrivals
+    are uncontrollable and the plain rule applies.
     """
     score = cfg.v * performance(alpha, obs.num_h, obs.num_t, cfg) + q * service(alpha, cfg)
-    if coupled_arrival:
+    if obs.coupled_arrival:
         score -= q * arrival(cfg.w_fps, obs.latency(alpha))
     return score
 
 
-def dpp_select(q, obs, cfg, coupled_arrival=False):
+def dpp_select(q, obs, cfg):
     """Argmax of dpp_score over {H, T}; exact ties go to cfg.tie_break."""
     if q < 0:
         raise ValueError("q must be >= 0")
-    score_h = dpp_score(ModelChoice.H, q, obs, cfg, coupled_arrival)
-    score_t = dpp_score(ModelChoice.T, q, obs, cfg, coupled_arrival)
+    score_h = dpp_score(ModelChoice.H, q, obs, cfg)
+    score_t = dpp_score(ModelChoice.T, q, obs, cfg)
     if score_h > score_t:
         return ModelChoice.H
     if score_t > score_h:

@@ -43,8 +43,8 @@ class ConfidenceGrid:
         # written so that NaN fails the comparisons
         if not (conf.min() >= 0.0 and conf.max() <= 1.0):
             raise ValueError("confidences must lie in [0, 1]")
-        if not np.all(boxes[..., 2:] >= 0.0):
-            raise ValueError("box width/height must be >= 0")
+        if not (np.isfinite(boxes).all() and np.all(boxes[..., 2:] >= 0.0)):
+            raise ValueError("boxes must be finite, with width/height >= 0")
         object.__setattr__(self, "conf", conf)
         object.__setattr__(self, "boxes", boxes)
 
@@ -71,7 +71,6 @@ class Detection:
     box_index: int
     confidence: float
     box: tuple  # (cx, cy, w, h)
-    label: str | None = None
 
     @property
     def index(self):

@@ -78,6 +78,19 @@ def load_flow_map(path):
     return read_matrix_csv(path)
 
 
+def _csv_rows(f, path, header):
+    """Rows of a CSV file as dicts; its header and each row's width must
+    match header."""
+    reader = csv.DictReader(f)
+    if reader.fieldnames != header:
+        raise ValueError(f"{path}: expected header {header}, got {reader.fieldnames}")
+    for row in reader:
+        # a short row gets None values, a long row a None key
+        if None in row or None in row.values():
+            raise ValueError(f"{path}: line {reader.line_num}: expected {len(header)} columns")
+        yield row
+
+
 GRID_HEADER = ["i", "j", "k", "conf", "cx", "cy", "w", "h"]
 
 
@@ -98,10 +111,7 @@ def save_grid_csv(path, grid):
 def load_grid_csv(path):
     entries = []
     with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames != GRID_HEADER:
-            raise ValueError(f"{path}: expected header {GRID_HEADER}, got {reader.fieldnames}")
-        for row in reader:
+        for row in _csv_rows(f, path, GRID_HEADER):
             entries.append(
                 (
                     int(row["i"]),
@@ -140,10 +150,7 @@ def load_trace(path):
     base = Path(os.path.dirname(os.path.abspath(path)))
     frames = []
     with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames != TRACE_HEADER:
-            raise ValueError(f"{path}: expected header {TRACE_HEADER}, got {reader.fieldnames}")
-        for row in reader:
+        for row in _csv_rows(f, path, TRACE_HEADER):
             flow_path = base / row["flow_file"]
             try:
                 flow = check_flow_map(load_flow_map(flow_path))
@@ -155,7 +162,6 @@ def load_trace(path):
                     t=int(row["t"]),
                     regime=row["regime"],
                     truth_boxes=[],
-                    motions=[],
                     flow=flow,
                     grid=grid,
                     declared_objects=int(row["num_objects"]),

@@ -243,16 +243,13 @@ def load_mlp(path):
 
 
 class DppPolicy:
-    """Drift-plus-penalty selection; arrival-aware when the queue's arrivals
-    are coupled to the chosen model's cycle time."""
+    """Drift-plus-penalty selection; arrival-aware when the observation says
+    the queue's arrivals are coupled to the chosen model's cycle time."""
 
     kind = PolicyKind.DPP
 
-    def __init__(self, coupled_arrival=False):
-        self.coupled_arrival = coupled_arrival
-
     def decide(self, q, obs, cfg, state, rng):
-        return dpp_select(q, obs, cfg, self.coupled_arrival)
+        return dpp_select(q, obs, cfg)
 
     def flops_per_decision(self):
         return dpp_flops()
@@ -313,8 +310,6 @@ class ReinforcePolicy:
 class UniformRandomPolicy:
     """Coin-flip baseline used when evaluating learned policies."""
 
-    kind = None
-
     def decide(self, q, obs, cfg, state, rng):
         return INDEX_ACTION[rng.integers(NUM_ACTIONS)]
 
@@ -322,11 +317,11 @@ class UniformRandomPolicy:
         return 0
 
 
-def make_policy(kind, params=None, seed=0, coupled_arrival=False):
+def make_policy(kind, seed=0):
     if kind is PolicyKind.DPP:
-        return DppPolicy(coupled_arrival)
+        return DppPolicy()
     if kind is PolicyKind.ALWAYS_T:
         return AlwaysPolicy(ModelChoice.T)
     if kind is PolicyKind.ALWAYS_H:
         return AlwaysPolicy(ModelChoice.H)
-    return ReinforcePolicy(params=params, seed=seed)
+    return ReinforcePolicy(seed=seed)

@@ -20,7 +20,6 @@ from .controller import (
     ModelChoice,
     StepObservation,
     arrival,
-    dpp_score,
     queue_update,
     service,
     performance,
@@ -41,6 +40,7 @@ __all__ = [
     "SimResult",
     "step",
     "run",
+    "check_frames",
     "summarize",
     "Summary",
     "benchmark_config",
@@ -93,7 +93,6 @@ class ScenarioConfig:
     # queue bookkeeping
     overflow_cap: float = 500.0
     couple_arrival: bool = True  # arrivals follow the chosen model's cycle time
-    current_frame_estimates: bool = True  # DPP sees this frame's per-model counts
 
     def __post_init__(self):
         if self.horizon < 0:
@@ -129,7 +128,6 @@ class FrameObservation:
     t: int
     regime: str
     truth_boxes: list  # (cx, cy, w, h) per object
-    motions: list  # flow magnitude per object
     flow: np.ndarray
     grid: ConfidenceGrid
     declared_objects: int | None = None  # trace replays carry counts, not labels
@@ -161,14 +159,13 @@ def generate_frame(scenario, rng, t, regime):
     conf = np.zeros((sc.grid_rows, sc.grid_cols, sc.boxes_per_cell))
     boxes = np.zeros(conf.shape + (4,))
     boxes[..., 2:] = 0.01  # degenerate filler geometry for unused slots
-    truth, motions = [], []
+    truth = []
     used = np.zeros((sc.grid_rows, sc.grid_cols), dtype=int)
     for _ in range(count):
         cx, cy = rng.uniform(0.15, 0.85, size=2).tolist()
         w, h = rng.uniform(0.08, 0.25, size=2).tolist()
         motion = motion_scale * rng.uniform(0.5, 1.0) if moving else motion_scale
         truth.append((cx, cy, w, h))
-        motions.append(motion)
         r0 = int(min(max((cy - h / 2) * sc.flow_rows, 0), sc.flow_rows - 1))
         r1 = int(min(max((cy + h / 2) * sc.flow_rows, r0 + 1), sc.flow_rows))
         c0 = int(min(max((cx - w / 2) * sc.flow_cols, 0), sc.flow_cols - 1))
@@ -201,7 +198,7 @@ def generate_frame(scenario, rng, t, regime):
     # every confidence is drawn from a checked range and every size is
     # positive, so the grid needs no re-validation
     grid = ConfidenceGrid._unchecked(conf, boxes)
-    return FrameObservation(t, regime, truth, motions, flow, grid)
+    return FrameObservation(t, regime, truth, flow, grid)
 
 
 class FrameGenerator:
@@ -277,7 +274,6 @@ class StepRecord:
 @dataclass
 class SimResult:
     scenario: ScenarioConfig
-    policy_kind: str
     records: list = field(default_factory=list)
 
     def __len__(self):
@@ -298,7 +294,6 @@ class SimState:
     prev_a: float = 0.0
     prev_b: float = 0.0
     prev_perf: float = 0.0
-    prev_obs: StepObservation = StepObservation(0, 0, 0.0, 0.0)
 
 
 def step(state, frame, policy, scenario, cfg, rng, collect=None):
@@ -306,12 +301,11 @@ def step(state, frame, policy, scenario, cfg, rng, collect=None):
     sc = scenario
     dets_h, num_h, p_h = emulate_detector(frame, ModelChoice.H, sc)
     dets_t, num_t, p_t = emulate_detector(frame, ModelChoice.T, sc)
-    obs = StepObservation(num_h, num_t, p_h, p_t)
-    policy_obs = obs if sc.current_frame_estimates else state.prev_obs
+    obs = StepObservation(num_h, num_t, p_h, p_t, sc.couple_arrival)
     pstate = make_policy_state(
         state.q, state.prev_a, state.prev_b, state.prev_b, state.prev_perf, cfg
     )
-    alpha = policy.decide(state.q, policy_obs, cfg, pstate, rng)
+    alpha = policy.decide(state.q, obs, cfg, pstate, rng)
 
     dets = dets_h if alpha is ModelChoice.H else dets_t
     p = obs.latency(alpha)
@@ -342,36 +336,40 @@ def step(state, frame, policy, scenario, cfg, rng, collect=None):
         flops=policy.flops_per_decision(),
     )
     if collect is not None:
-        # Reward matches the controller's per-step score of the chosen action.
-        collect.append((pstate, alpha, dpp_score(alpha, state.q, obs, cfg)))
-    new_state = SimState(
-        q=q_next, t=state.t + 1, prev_a=a, prev_b=b, prev_perf=perf, prev_obs=obs
-    )
+        # the plain DPP score V*P + Q*b, without the coupled rule's -Q*a term
+        collect.append((pstate, alpha, cfg.v * perf + state.q * b))
+    new_state = SimState(q=q_next, t=state.t + 1, prev_a=a, prev_b=b, prev_perf=perf)
     return new_state, record
 
 
-def run(scenario, policy, cfg=None, horizon=None, frames=None, seed=None, collect=None):
+def check_frames(frames, scenario):
+    """Raise ValueError unless every frame's grid has the scenario's shape;
+    checked up front because empty frames skip thresholding."""
+    shape = (scenario.grid_rows, scenario.grid_cols, scenario.boxes_per_cell)
+    for frame in frames:
+        if frame.grid.shape != shape:
+            raise ValueError(
+                f"frame {frame.t}: grid shape {frame.grid.shape} does not match "
+                f"the scenario's {shape}"
+            )
+
+
+def run(scenario, policy, cfg=None, frames=None, seed=None, collect=None):
     """Run a full simulation; deterministic given (scenario, policy, seed).
 
     frames may supply pre-generated or trace-loaded FrameObservations in
-    place of the built-in generator; their grids must have the scenario's
-    shape, checked up front because empty frames skip thresholding.
+    place of the built-in generator; all of them run, in place of
+    scenario.horizon steps, and they must pass check_frames.
     """
     cfg = cfg or ControllerConfig()
-    horizon = scenario.horizon if horizon is None else horizon
     if frames is not None:
-        shape = (scenario.grid_rows, scenario.grid_cols, scenario.boxes_per_cell)
-        for frame in frames[:horizon]:
-            if frame.grid.shape != shape:
-                raise ValueError(
-                    f"frame {frame.t}: grid shape {frame.grid.shape} does not match "
-                    f"the scenario's {shape}"
-                )
+        check_frames(frames, scenario)
+    horizon = scenario.horizon if frames is None else len(frames)
     base_seed = scenario.seed if seed is None else seed
     seed_seq = list(base_seed) if isinstance(base_seed, (tuple, list)) else [base_seed]
     gen = FrameGenerator(scenario, seed=seed_seq)
     policy_rng = np.random.default_rng(seed_seq + [0x9E3779B9])
-    result = SimResult(scenario, policy.kind.value if policy.kind else "custom")
+    result = SimResult(scenario)
     state = SimState()
     for t in range(horizon):
         frame = frames[t] if frames is not None else gen.next(t)
@@ -390,7 +388,6 @@ class Summary:
     decision_mix: dict
     total_flops: int
     overflow: bool
-    total_reward: float
 
 
 def summarize(result):
@@ -411,7 +408,6 @@ def summarize(result):
         decision_mix=mix,
         total_flops=int(sum(r.flops for r in recs)),
         overflow=any(r.q_after > cap for r in recs),
-        total_reward=float(np.sum([r.perf for r in recs])),
     )
 
 
@@ -432,9 +428,9 @@ def train_reinforce(scenario, cfg=None, episodes=200, episode_len=None, seed=0,
                     lr=2e-4, gamma=0.99, policy=None):
     """Train a REINFORCE policy by running whole-episode simulations.
 
-    Each episode is one fixed-horizon run; the per-step reward is the
-    controller score of the chosen action.  Returns (policy, episode reward
-    list).
+    Each episode is one fixed-horizon run; the per-step reward is the plain
+    DPP score V*P + Q*b of the chosen action (see step).  Returns (policy,
+    episode reward list).
     """
     cfg = cfg or ControllerConfig()
     if episode_len is not None:

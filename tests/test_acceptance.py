@@ -67,7 +67,7 @@ def benchmark_runs():
     for seed in BENCH_SEEDS:
         scenario, cfg = sim.benchmark_config(seed=seed)
         policies = {
-            "dpp": make_policy(PolicyKind.DPP, coupled_arrival=True),
+            "dpp": make_policy(PolicyKind.DPP),
             "comp1": AlwaysPolicy(ModelChoice.T),
             "comp2": AlwaysPolicy(ModelChoice.H),
         }

@@ -305,9 +305,8 @@ class TestTraceReplay:
             rows.append(f"{frame.t},{frame.regime},{frame.num_objects},{flow_file},{conf_file}")
         trace_path.write_text("\n".join(rows) + "\n")
 
-        policy = make_policy(PolicyKind.DPP, coupled_arrival=cfg.scenario.couple_arrival)
-        memory = sim.run(cfg.scenario, policy, cfg=cfg.controller, frames=frames,
-                         horizon=len(frames)).records
+        policy = make_policy(PolicyKind.DPP)
+        memory = sim.run(cfg.scenario, policy, cfg=cfg.controller, frames=frames).records
         assert {r.alpha.value for r in memory} == {"H", "T"}
 
         loads = []
@@ -330,14 +329,15 @@ class TestTraceInputErrors:
     """A bad replay trace is an input error (exit 2) for simulate and compare,
     reported before any output is written."""
 
-    def write_trace(self, tmp_path, flow_text="0,1\n2,3\n", header=",".join(fileio.TRACE_HEADER)):
+    def write_trace(self, tmp_path, flow_text="0,1\n2,3\n", header=",".join(fileio.TRACE_HEADER),
+                    grid_shape=(2, 2, 1)):
         trace_dir = tmp_path / "trace"
         trace_dir.mkdir()
         (trace_dir / "flow0.csv").write_text(flow_text)
         # an all-zero grid: the simulator never needs this frame's flow map
         fileio.save_grid_csv(
             trace_dir / "conf0.csv",
-            ConfidenceGrid(np.zeros((2, 2, 1)), np.zeros((2, 2, 1, 4))),
+            ConfidenceGrid(np.zeros(grid_shape), np.zeros(grid_shape + (4,))),
         )
         trace_path = trace_dir / "trace.csv"
         trace_path.write_text(f"{header}\n0,stationary,0,flow0.csv,conf0.csv\n")
@@ -377,6 +377,22 @@ class TestTraceInputErrors:
     def test_bad_header(self, tmp_path, capsys):
         trace_path = self.write_trace(tmp_path, header="t,regime,objects,flow,conf")
         self.assert_exits_2(tmp_path, trace_path, capsys, "expected header")
+
+    @pytest.mark.parametrize("name,row", [
+        ("trace.csv", "0,stationary,0,flow0.csv"),
+        ("trace.csv", "0,stationary,0,flow0.csv,conf0.csv,extra"),
+        ("conf0.csv", "0,0,0,0.5,0.5,0.5,0.1"),
+    ])
+    def test_row_of_another_width(self, tmp_path, capsys, name, row):
+        trace_path = self.write_trace(tmp_path)
+        path = trace_path.parent / name
+        path.write_text(path.read_text().splitlines()[0] + f"\n{row}\n")
+        self.assert_exits_2(tmp_path, trace_path, capsys, f"{name}: line 2: expected")
+
+    @pytest.mark.parametrize("grid_shape", [(2, 2, 2), (2, 3, 1)])
+    def test_grid_of_another_shape(self, tmp_path, capsys, grid_shape):
+        trace_path = self.write_trace(tmp_path, grid_shape=grid_shape)
+        self.assert_exits_2(tmp_path, trace_path, capsys, "frame 0: grid shape")
 
     @pytest.mark.parametrize("flow_text", ["0,nan\n2,3\n", "0,inf\n2,3\n", "-1e308,0\n1e308,3\n"])
     def test_non_finite_flow_map_on_empty_grid(self, tmp_path, capsys, flow_text):

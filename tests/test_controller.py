@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -105,7 +107,7 @@ class TestDppSelect:
         cfg = ControllerConfig()
         obs = StepObservation(2, 3, p_h=0.133, p_t=0.067)
         plain = dpp_score(ModelChoice.H, 5.0, obs, cfg)
-        coupled = dpp_score(ModelChoice.H, 5.0, obs, cfg, coupled_arrival=True)
+        coupled = dpp_score(ModelChoice.H, 5.0, replace(obs, coupled_arrival=True), cfg)
         assert coupled == pytest.approx(plain - 5.0 * 30.0 * 0.133)
 
     @given(

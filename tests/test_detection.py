@@ -64,6 +64,15 @@ class TestConfidenceGrid:
             with pytest.raises(ValueError, match="width/height"):
                 ConfidenceGrid(np.zeros((2, 3, 2)), boxes)
 
+    @pytest.mark.parametrize("coord,value", [
+        (0, np.nan), (1, np.nan), (0, np.inf), (1, -np.inf), (2, np.inf), (3, np.inf),
+    ])
+    def test_rejects_non_finite_geometry(self, coord, value):
+        boxes = np.full((2, 3, 2, 4), 0.1)
+        boxes[1, 2, 1, coord] = value
+        with pytest.raises(ValueError, match="must be finite"):
+            ConfidenceGrid(np.zeros((2, 3, 2)), boxes)
+
 
 class TestThresholdDetections:
     def test_strictly_above(self):

@@ -9,11 +9,20 @@ from flowdpp.config import ConfigError, parse_config
 from flowdpp.controller import (
     ControllerConfig,
     ModelChoice,
+    StepObservation,
+    dpp_score,
+    dpp_select,
     drift_bound_check,
     queue_update,
 )
 from flowdpp.detection import ConfidenceGrid, nms, threshold_detections
-from flowdpp.policies import AlwaysPolicy, PolicyKind, UniformRandomPolicy, make_policy
+from flowdpp.policies import (
+    AlwaysPolicy,
+    DppPolicy,
+    PolicyKind,
+    UniformRandomPolicy,
+    make_policy,
+)
 from flowdpp import flowmap
 
 
@@ -21,6 +30,13 @@ def tiny_scenario(**overrides):
     defaults = dict(horizon=60, flow_rows=16, flow_cols=16, grid_rows=4, grid_cols=4)
     defaults.update(overrides)
     return sim.ScenarioConfig(**defaults)
+
+
+def frame_observation(frame, sc, coupled_arrival=False):
+    """The StepObservation that sim.step scores on this frame."""
+    _, num_h, p_h = sim.emulate_detector(frame, ModelChoice.H, sc)
+    _, num_t, p_t = sim.emulate_detector(frame, ModelChoice.T, sc)
+    return StepObservation(num_h, num_t, p_h, p_t, coupled_arrival)
 
 
 class TestGenerateFrame:
@@ -50,7 +66,6 @@ class TestGenerateFrame:
         frame = sim.generate_frame(sc, rng, 0, sim.DRIVING)
         assert frame.num_objects > 0
         assert frame.flow.max() > 0.0
-        assert len(frame.motions) == len(frame.truth_boxes)
 
     def test_regime_chain_stays_when_sticky(self):
         sc = tiny_scenario(p_stay_driving=1.0, start_driving=True)
@@ -110,7 +125,7 @@ class TestRun:
 
     def test_queue_replay_matches_recursion(self):
         sc = tiny_scenario()
-        result = sim.run(sc, make_policy(PolicyKind.DPP, coupled_arrival=True))
+        result = sim.run(sc, make_policy(PolicyKind.DPP))
         q = 0.0
         for r in result.records:
             assert r.q_before == q
@@ -121,7 +136,7 @@ class TestRun:
     def test_drift_bound_holds(self):
         sc = tiny_scenario(horizon=200)
         for kind in (PolicyKind.DPP, PolicyKind.ALWAYS_H, PolicyKind.ALWAYS_T):
-            result = sim.run(sc, make_policy(kind, coupled_arrival=True))
+            result = sim.run(sc, make_policy(kind))
             assert drift_bound_check(result.trajectory()).ok
 
     def test_uncoupled_arrivals_follow_plain_detector(self):
@@ -136,6 +151,42 @@ class TestRun:
         assert len(result) == 0
         with pytest.raises(ValueError):
             sim.summarize(result)
+
+    @pytest.mark.parametrize("count", [25, 90])
+    def test_runs_every_supplied_frame(self, count):
+        sc = tiny_scenario(horizon=60)
+        frames = list(generated_frames(sc, (4,), count))
+        result = sim.run(sc, AlwaysPolicy(ModelChoice.T), frames=frames)
+        assert [r.t for r in result.records] == list(range(count))
+
+    @pytest.mark.parametrize("couple", [True, False])
+    def test_dpp_follows_scenario_coupling(self, couple):
+        # DppPolicy() takes the coupling from the scenario it runs in.  A slow
+        # T (30 fps x 0.085 s > w2) keeps the backlog positive under either
+        # arrival law, so the two rules disagree on some steps.
+        sc, cfg = sim.benchmark_config(seed=2, horizon=300)
+        sc = dataclasses.replace(sc, couple_arrival=couple, base_latency_t=0.085)
+        frames = list(generated_frames(sc, (2,), sc.horizon))
+        result = sim.run(sc, DppPolicy(), cfg=cfg, frames=frames)
+        rules_differ = False
+        for frame, r in zip(frames, result.records):
+            obs = frame_observation(frame, sc, couple)
+            assert r.alpha is dpp_select(r.q_before, obs, cfg)
+            flipped = dataclasses.replace(obs, coupled_arrival=not couple)
+            rules_differ |= dpp_select(r.q_before, flipped, cfg) is not r.alpha
+        assert rules_differ
+
+    @pytest.mark.parametrize("couple", [True, False])
+    def test_reward_is_uncoupled_score(self, couple):
+        sc = tiny_scenario(horizon=80, couple_arrival=couple, mean_objects_stationary=0.8)
+        frames = list(generated_frames(sc, (5,), sc.horizon))
+        cfg = ControllerConfig()
+        episode = []
+        result = sim.run(sc, UniformRandomPolicy(), cfg=cfg, frames=frames, collect=episode)
+        assert len(episode) == len(frames)
+        for frame, r, (_, alpha, reward) in zip(frames, result.records, episode):
+            assert alpha is r.alpha
+            assert reward == dpp_score(alpha, r.q_before, frame_observation(frame, sc), cfg)
 
     def test_seed_changes_frames(self):
         sc = tiny_scenario()
@@ -285,7 +336,7 @@ class TestEmptyGridShortcut:
 
         def records():
             policies = [
-                make_policy(PolicyKind.DPP, coupled_arrival=True),
+                make_policy(PolicyKind.DPP),
                 make_policy(PolicyKind.ALWAYS_H),
                 make_policy(PolicyKind.REINFORCE, seed=3),
                 UniformRandomPolicy(),
@@ -309,7 +360,7 @@ class TestEmptyGridShortcut:
         sc = tiny_scenario(horizon=5)
         frames = list(generated_frames(dataclasses.replace(sc, grid_cols=5), (0,), 5))
         with pytest.raises(ValueError, match="grid shape"):
-            sim.run(sc, AlwaysPolicy(ModelChoice.T), frames=frames, horizon=5)
+            sim.run(sc, AlwaysPolicy(ModelChoice.T), frames=frames)
 
 
 # Out-of-range scenario values, each rejected once when the scenario is built
