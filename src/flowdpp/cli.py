@@ -141,19 +141,13 @@ def _load_frames(cfg):
     return frames
 
 
-def _run_one(cfg, kind, frames):
-    policy = _build_policy(cfg, kind)
-    result = sim.run(cfg.scenario, policy, cfg=cfg.controller, frames=frames)
-    return result, sim.summarize(result)
-
-
 def _write_timeseries(path, labelled_results):
     def render(f):
         f.write(",".join(TIMESERIES_COLUMNS) + "\n")
-        for label, result in labelled_results:
-            for r in result.records:
-                row = [r.t, label, r.alpha.value, r.q_after, r.a, r.b, r.perf,
-                       r.p, r.tpr, r.flops]
+        for label, r in labelled_results:
+            columns = (r.q, r.a, r.b, r.perf, r.p, r.tpr)
+            for t, (alpha, *values) in enumerate(zip(r.alpha, *(c.tolist() for c in columns))):
+                row = [t, label, alpha.value, *values, r.flops]
                 f.write(",".join(_fmt(v) for v in row) + "\n")
 
     _atomic_write(path, render)
@@ -171,58 +165,40 @@ def _write_summary(path, labelled_summaries):
     _atomic_write(path, render)
 
 
-def cmd_simulate(args):
-    cfg = _load_run_config(args)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    label = cfg.policy.value
-    result, summary = _run_one(cfg, cfg.policy, _load_frames(cfg))
-    _write_timeseries(os.path.join(cfg.out_dir, "timeseries.csv"), [(label, result)])
-    _write_summary(os.path.join(cfg.out_dir, "summary.csv"), [(label, summary)])
-    print(
-        f"{label}: steps={summary.steps} avg_q={summary.avg_q:.4g} "
-        f"avg_accuracy={summary.avg_accuracy:.4g} overflow={summary.overflow}"
-    )
-    return 0
-
-
-def _write_dat(path, labels, series_by_label):
+def _write_dat(path, labels, columns):
     """Gnuplot data: column 1 is t, one further column per policy."""
 
     def render(f):
         f.write("# t " + " ".join(labels) + "\n")
-        horizon = len(series_by_label[labels[0]])
-        for t in range(horizon):
-            f.write(
-                " ".join([str(t)] + [_fmt(float(series_by_label[lab][t])) for lab in labels])
-                + "\n"
-            )
+        for t, values in enumerate(zip(*(c.tolist() for c in columns))):
+            f.write(" ".join([str(t)] + [_fmt(v) for v in values]) + "\n")
 
     _atomic_write(path, render)
 
 
-def cmd_compare(args):
+def cmd_run(args):
+    """simulate runs the configured policy; compare runs COMPARE_POLICIES on
+    the same frames and also writes the queue and accuracy curves."""
     cfg = _load_run_config(args)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     frames = _load_frames(cfg)
-    results, summaries = [], []
-    for label, kind in COMPARE_POLICIES:
-        result, summary = _run_one(cfg, kind, frames)
-        results.append((label, result))
-        summaries.append((label, summary))
-    _write_timeseries(os.path.join(cfg.out_dir, "timeseries.csv"), results)
-    _write_summary(os.path.join(cfg.out_dir, "summary.csv"), summaries)
-    labels = [label for label, _ in COMPARE_POLICIES]
-    queues = {label: result.q_series() for label, result in results}
-    accuracy = {
-        label: np.cumsum([r.recall for r in result.records])
-        / np.arange(1, len(result) + 1)
-        for label, result in results
-    }
-    _write_dat(os.path.join(cfg.out_dir, "queue_backlog.dat"), labels, queues)
-    _write_dat(os.path.join(cfg.out_dir, "accuracy.dat"), labels, accuracy)
-    for label, s in summaries:
+    compare = args.command == "compare"
+    policies = COMPARE_POLICIES if compare else [(cfg.policy.value, cfg.policy)]
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    results = [
+        sim.run(cfg.scenario, _build_policy(cfg, kind), cfg=cfg.controller, frames=frames)
+        for _, kind in policies
+    ]
+    labels = [label for label, _ in policies]
+    summaries = [sim.summarize(result) for result in results]
+    _write_timeseries(os.path.join(cfg.out_dir, "timeseries.csv"), zip(labels, results))
+    _write_summary(os.path.join(cfg.out_dir, "summary.csv"), zip(labels, summaries))
+    if compare:
+        accuracy = [np.cumsum(r.recall) / np.arange(1, len(r) + 1) for r in results]
+        _write_dat(os.path.join(cfg.out_dir, "queue_backlog.dat"), labels, [r.q for r in results])
+        _write_dat(os.path.join(cfg.out_dir, "accuracy.dat"), labels, accuracy)
+    for label, s in zip(labels, summaries):
         print(
-            f"{label}: avg_q={s.avg_q:.4g} avg_accuracy={s.avg_accuracy:.4g} "
+            f"{label}: steps={s.steps} avg_q={s.avg_q:.4g} avg_accuracy={s.avg_accuracy:.4g} "
             f"drift={s.mean_drift:+.4g} overflow={s.overflow} flops={s.total_flops}"
         )
     return 0
@@ -240,12 +216,12 @@ def build_parser():
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_process_flow)
 
-    for name, func in (("simulate", cmd_simulate), ("compare", cmd_compare)):
+    for name in ("simulate", "compare"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="INI run configuration")
         p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
         p.add_argument("--out", default=None, help="override the output directory")
-        p.set_defaults(func=func)
+        p.set_defaults(func=cmd_run)
 
     return parser
 

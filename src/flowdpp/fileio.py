@@ -79,8 +79,8 @@ def load_flow_map(path):
 
 
 def _csv_rows(f, path, header):
-    """Rows of a CSV file as dicts; its header and each row's width must
-    match header."""
+    """Rows of a CSV file as (line number, dict) pairs; its header and each
+    row's width must match header."""
     reader = csv.DictReader(f)
     if reader.fieldnames != header:
         raise ValueError(f"{path}: expected header {header}, got {reader.fieldnames}")
@@ -88,7 +88,19 @@ def _csv_rows(f, path, header):
         # a short row gets None values, a long row a None key
         if None in row or None in row.values():
             raise ValueError(f"{path}: line {reader.line_num}: expected {len(header)} columns")
-        yield row
+        yield reader.line_num, row
+
+
+def _count(path, line, row, key):
+    """row[key] as an integer >= 0 (every integer field here is an index or
+    a count); errors name the file and line."""
+    try:
+        value = int(row[key])
+    except ValueError:
+        raise ValueError(f"{path}: line {line}: {key} must be an integer, got {row[key]!r}") from None
+    if value < 0:
+        raise ValueError(f"{path}: line {line}: {key} must be >= 0")
+    return value
 
 
 GRID_HEADER = ["i", "j", "k", "conf", "cx", "cy", "w", "h"]
@@ -111,12 +123,12 @@ def save_grid_csv(path, grid):
 def load_grid_csv(path):
     entries = []
     with open(path, newline="") as f:
-        for row in _csv_rows(f, path, GRID_HEADER):
+        for line, row in _csv_rows(f, path, GRID_HEADER):
             entries.append(
                 (
-                    int(row["i"]),
-                    int(row["j"]),
-                    int(row["k"]),
+                    _count(path, line, row, "i"),
+                    _count(path, line, row, "j"),
+                    _count(path, line, row, "k"),
                     float(row["conf"]),
                     (float(row["cx"]), float(row["cy"]), float(row["w"]), float(row["h"])),
                 )
@@ -150,7 +162,9 @@ def load_trace(path):
     base = Path(os.path.dirname(os.path.abspath(path)))
     frames = []
     with open(path, newline="") as f:
-        for row in _csv_rows(f, path, TRACE_HEADER):
+        for line, row in _csv_rows(f, path, TRACE_HEADER):
+            t = _count(path, line, row, "t")
+            num_objects = _count(path, line, row, "num_objects")
             flow_path = base / row["flow_file"]
             try:
                 flow = check_flow_map(load_flow_map(flow_path))
@@ -159,12 +173,14 @@ def load_trace(path):
             grid = load_grid_csv(base / row["conf_file"])
             frames.append(
                 FrameObservation(
-                    t=int(row["t"]),
+                    t=t,
                     regime=row["regime"],
                     truth_boxes=[],
                     flow=flow,
                     grid=grid,
-                    declared_objects=int(row["num_objects"]),
+                    declared_objects=num_objects,
                 )
             )
+    if not frames:
+        raise ValueError(f"{path}: no trace rows")
     return frames

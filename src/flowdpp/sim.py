@@ -3,14 +3,15 @@
 Synthesizes frames (two-regime Markov chain over driving/stationary, random
 objects with motion, a flow map, and a confidence grid), emulates the two
 detector variants with their latency profiles, advances the queue under a
-policy, and records a deterministic per-step time series.
+policy, and returns a deterministic per-step time series as columns
+(SimResult).
 
 Frame generation consumes its own RNG stream and never depends on policy
 decisions, so runs with the same seed see identical frames regardless of the
 policy under test.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,8 +36,6 @@ __all__ = [
     "FrameGenerator",
     "generate_frame",
     "emulate_detector",
-    "SimState",
-    "StepRecord",
     "SimResult",
     "step",
     "run",
@@ -250,62 +249,49 @@ def emulate_detector(frame, alpha, scenario):
     return dets, len(dets), p
 
 
-@dataclass
-class StepRecord:
-    t: int
-    regime: str
-    alpha: ModelChoice
-    q_before: float
-    q_after: float
-    a: float
-    b: float
-    perf: float
-    p: float
-    num_truth: int
-    num_detected: int
-    correct: int
-    false: int
-    overlapped: int
-    tpr: float
-    recall: float
-    flops: int
-
-
-@dataclass
+@dataclass(eq=False)
 class SimResult:
+    """A run as columns: row t is step t.  q is the backlog after the step;
+    flops is the policy's constant cost per decision."""
+
     scenario: ScenarioConfig
-    records: list = field(default_factory=list)
+    flops: int
+    alpha: list  # ModelChoice per step
+    q: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    perf: np.ndarray
+    p: np.ndarray
+    tpr: np.ndarray
+    recall: np.ndarray
 
     def __len__(self):
-        return len(self.records)
+        return len(self.alpha)
+
+    @property
+    def q_before(self):
+        """The backlog each step started from."""
+        return np.concatenate(([0.0], self.q[:-1]))
 
     def trajectory(self):
         """(Q before update, a, b) per step, for the drift-bound check."""
-        return [(r.q_before, r.a, r.b) for r in self.records]
-
-    def q_series(self):
-        return [r.q_after for r in self.records]
+        return list(zip(self.q_before.tolist(), self.a.tolist(), self.b.tolist()))
 
 
-@dataclass
-class SimState:
-    q: float = 0.0
-    t: int = 0
-    prev_a: float = 0.0
-    prev_b: float = 0.0
-    prev_perf: float = 0.0
+def step(q, prev, frame, policy, scenario, cfg, rng, collect=None):
+    """Advance the queue one step under the policy's decision on this frame.
 
-
-def step(state, frame, policy, scenario, cfg, rng, collect=None):
-    """Advance the queue one step under the policy's decision on this frame."""
+    q is the backlog before the step and prev the previous step's
+    (a, b, perf).  Returns the step's row (alpha, q after, a, b, perf, p,
+    tpr, recall).
+    """
     sc = scenario
+    prev_a, prev_b, prev_perf = prev
     dets_h, num_h, p_h = emulate_detector(frame, ModelChoice.H, sc)
     dets_t, num_t, p_t = emulate_detector(frame, ModelChoice.T, sc)
     obs = StepObservation(num_h, num_t, p_h, p_t, sc.couple_arrival)
-    pstate = make_policy_state(
-        state.q, state.prev_a, state.prev_b, state.prev_b, state.prev_perf, cfg
-    )
-    alpha = policy.decide(state.q, obs, cfg, pstate, rng)
+    pstate = make_policy_state(q, prev_a, prev_b, prev_b, prev_perf, cfg)
+    alpha = policy.decide(q, obs, cfg, pstate, rng)
 
     dets = dets_h if alpha is ModelChoice.H else dets_t
     p = obs.latency(alpha)
@@ -313,33 +299,11 @@ def step(state, frame, policy, scenario, cfg, rng, collect=None):
     b = service(alpha, cfg)
     perf = performance(alpha, num_h, num_t, cfg)
     metrics = score_against_truth(dets, frame.truth_boxes, sc.match_iou)
-    q_next = queue_update(state.q, a, b)
     recall = metrics.correctly_detected / frame.num_objects if frame.num_objects else 1.0
-
-    record = StepRecord(
-        t=state.t,
-        regime=frame.regime,
-        alpha=alpha,
-        q_before=state.q,
-        q_after=q_next,
-        a=a,
-        b=b,
-        perf=perf,
-        p=p,
-        num_truth=frame.num_objects,
-        num_detected=len(dets),
-        correct=metrics.correctly_detected,
-        false=metrics.falsely_detected,
-        overlapped=metrics.overlapped_detected,
-        tpr=metrics.true_positive_rate,
-        recall=recall,
-        flops=policy.flops_per_decision(),
-    )
     if collect is not None:
         # the plain DPP score V*P + Q*b, without the coupled rule's -Q*a term
-        collect.append((pstate, alpha, cfg.v * perf + state.q * b))
-    new_state = SimState(q=q_next, t=state.t + 1, prev_a=a, prev_b=b, prev_perf=perf)
-    return new_state, record
+        collect.append((pstate, alpha, cfg.v * perf + q * b))
+    return alpha, queue_update(q, a, b), a, b, perf, p, metrics.true_positive_rate, recall
 
 
 def check_frames(frames, scenario):
@@ -369,13 +333,16 @@ def run(scenario, policy, cfg=None, frames=None, seed=None, collect=None):
     seed_seq = list(base_seed) if isinstance(base_seed, (tuple, list)) else [base_seed]
     gen = FrameGenerator(scenario, seed=seed_seq)
     policy_rng = np.random.default_rng(seed_seq + [0x9E3779B9])
-    result = SimResult(scenario)
-    state = SimState()
+    rows = []
+    q, prev = 0.0, (0.0, 0.0, 0.0)
     for t in range(horizon):
         frame = frames[t] if frames is not None else gen.next(t)
-        state, record = step(state, frame, policy, scenario, cfg, policy_rng, collect)
-        result.records.append(record)
-    return result
+        row = step(q, prev, frame, policy, scenario, cfg, policy_rng, collect)
+        rows.append(row)
+        q, prev = row[1], row[2:5]
+    # one contiguous float64 row per column: (q, a, b, perf, p, tpr, recall)
+    columns = np.array([row[1:] for row in rows], dtype=float).reshape(-1, 7).T.copy()
+    return SimResult(scenario, policy.flops_per_decision(), [row[0] for row in rows], *columns)
 
 
 @dataclass(frozen=True)
@@ -391,23 +358,19 @@ class Summary:
 
 
 def summarize(result):
-    """Aggregate a run; recomputable from the per-step records."""
-    recs = result.records
-    if not recs:
+    """Aggregate a run; recomputable from its columns."""
+    if not len(result):
         raise ValueError("cannot summarize an empty result")
-    cap = result.scenario.overflow_cap
-    mix = {"H": 0, "T": 0}
-    for r in recs:
-        mix[r.alpha.value] += 1
+    h = result.alpha.count(ModelChoice.H)
     return Summary(
-        steps=len(recs),
-        avg_q=float(np.mean([r.q_after for r in recs])),
-        avg_tpr=float(np.mean([r.tpr for r in recs])),
-        avg_accuracy=float(np.mean([r.recall for r in recs])),
-        mean_drift=float(np.mean([r.a - r.b for r in recs])),
-        decision_mix=mix,
-        total_flops=int(sum(r.flops for r in recs)),
-        overflow=any(r.q_after > cap for r in recs),
+        steps=len(result),
+        avg_q=float(np.mean(result.q)),
+        avg_tpr=float(np.mean(result.tpr)),
+        avg_accuracy=float(np.mean(result.recall)),
+        mean_drift=float(np.mean(result.a - result.b)),
+        decision_mix={"H": h, "T": len(result) - h},
+        total_flops=result.flops * len(result),
+        overflow=bool((result.q > result.scenario.overflow_cap).any()),
     )
 
 

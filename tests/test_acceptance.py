@@ -168,7 +168,7 @@ def test_criterion_2_queue_law(benchmark_runs):
             break
     runs, _ = benchmark_runs
     never_negative = all(
-        min(result.q_series(), default=0.0) >= 0.0
+        bool(np.all(result.q >= 0.0))
         for results in runs.values()
         for result in results
     )

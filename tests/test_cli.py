@@ -278,6 +278,18 @@ class TestCompareCommand:
         lines = (compare_dir / "timeseries.csv").read_text().splitlines()
         assert len(lines) == 1 + 4 * 40
 
+    def test_curves_match_timeseries_and_summary(self, compare_dir):
+        def rows(name, sep):
+            return [line.split(sep) for line in (compare_dir / name).read_text().splitlines()[1:]]
+
+        timeseries, summary = rows("timeseries.csv", ","), rows("summary.csv", ",")
+        queue, accuracy = rows("queue_backlog.dat", None), rows("accuracy.dat", None)
+        for column, (label, avg_accuracy) in enumerate([(r[0], r[4]) for r in summary], start=1):
+            assert [row[column] for row in queue] == [
+                row[3] for row in timeseries if row[1] == label
+            ]
+            assert float(accuracy[-1][column]) == pytest.approx(float(avg_accuracy))
+
 
 class TestTraceReplay:
     def test_round_trip_matches_in_memory_run(self, tmp_path, monkeypatch, capsys):
@@ -306,8 +318,8 @@ class TestTraceReplay:
         trace_path.write_text("\n".join(rows) + "\n")
 
         policy = make_policy(PolicyKind.DPP)
-        memory = sim.run(cfg.scenario, policy, cfg=cfg.controller, frames=frames).records
-        assert {r.alpha.value for r in memory} == {"H", "T"}
+        memory = sim.run(cfg.scenario, policy, cfg=cfg.controller, frames=frames)
+        assert {alpha.value for alpha in memory.alpha} == {"H", "T"}
 
         loads = []
         load_trace = fileio.load_trace
@@ -321,8 +333,8 @@ class TestTraceReplay:
         header = lines[0].split(",")
         replay = [dict(zip(header, line.split(","))) for line in lines[1:]]
         replay = [row for row in replay if row["policy"] == "dpp"]
-        assert [row["alpha"] for row in replay] == [r.alpha.value for r in memory]
-        assert [float(row["Q"]) for row in replay] == [r.q_after for r in memory]
+        assert [row["alpha"] for row in replay] == [alpha.value for alpha in memory.alpha]
+        assert [float(row["Q"]) for row in replay] == memory.q.tolist()
 
 
 class TestTraceInputErrors:
@@ -330,7 +342,7 @@ class TestTraceInputErrors:
     reported before any output is written."""
 
     def write_trace(self, tmp_path, flow_text="0,1\n2,3\n", header=",".join(fileio.TRACE_HEADER),
-                    grid_shape=(2, 2, 1)):
+                    grid_shape=(2, 2, 1), row="0,stationary,0,flow0.csv,conf0.csv\n"):
         trace_dir = tmp_path / "trace"
         trace_dir.mkdir()
         (trace_dir / "flow0.csv").write_text(flow_text)
@@ -340,7 +352,7 @@ class TestTraceInputErrors:
             ConfidenceGrid(np.zeros(grid_shape), np.zeros(grid_shape + (4,))),
         )
         trace_path = trace_dir / "trace.csv"
-        trace_path.write_text(f"{header}\n0,stationary,0,flow0.csv,conf0.csv\n")
+        trace_path.write_text(f"{header}\n{row}")
         return trace_path
 
     def write_run_config(self, tmp_path, trace_path):
@@ -399,3 +411,29 @@ class TestTraceInputErrors:
         trace_path = self.write_trace(tmp_path, flow_text=flow_text)
         message = "flow0.csv: flow map contains non-finite"
         self.assert_exits_2(tmp_path, trace_path, capsys, message)
+
+    def test_trace_without_rows(self, tmp_path, capsys):
+        trace_path = self.write_trace(tmp_path, row="")
+        self.assert_exits_2(tmp_path, trace_path, capsys, "trace.csv: no trace rows")
+
+    def test_negative_object_count(self, tmp_path, capsys):
+        trace_path = self.write_trace(tmp_path, row="0,stationary,-3,flow0.csv,conf0.csv\n")
+        self.assert_exits_2(tmp_path, trace_path, capsys,
+                            "trace.csv: line 2: num_objects must be >= 0")
+
+    def test_negative_grid_index(self, tmp_path, capsys):
+        # a negative index would wrap around to the grid's last row
+        trace_path = self.write_trace(tmp_path)
+        grid = trace_path.parent / "conf0.csv"
+        grid.write_text(grid.read_text().replace("\n1,1,0,", "\n-1,1,0,"))
+        self.assert_exits_2(tmp_path, trace_path, capsys, "conf0.csv: line 5: i must be >= 0")
+
+    @pytest.mark.parametrize("value", ["x", "1.5"])
+    @pytest.mark.parametrize("column", ["t", "num_objects"])
+    def test_non_integer_field(self, tmp_path, capsys, column, value):
+        fields = dict(t="0", num_objects="0")
+        fields[column] = value
+        row = f"{fields['t']},stationary,{fields['num_objects']},flow0.csv,conf0.csv\n"
+        trace_path = self.write_trace(tmp_path, row=row)
+        self.assert_exits_2(tmp_path, trace_path, capsys,
+                            f"trace.csv: line 2: {column} must be an integer, got '{value}'")

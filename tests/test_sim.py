@@ -10,18 +10,22 @@ from flowdpp.controller import (
     ControllerConfig,
     ModelChoice,
     StepObservation,
+    arrival,
     dpp_score,
     dpp_select,
     drift_bound_check,
+    performance,
     queue_update,
+    service,
 )
-from flowdpp.detection import ConfidenceGrid, nms, threshold_detections
+from flowdpp.detection import ConfidenceGrid, nms, score_against_truth, threshold_detections
 from flowdpp.policies import (
     AlwaysPolicy,
     DppPolicy,
     PolicyKind,
     UniformRandomPolicy,
     make_policy,
+    make_policy_state,
 )
 from flowdpp import flowmap
 
@@ -30,6 +34,28 @@ def tiny_scenario(**overrides):
     defaults = dict(horizon=60, flow_rows=16, flow_cols=16, grid_rows=4, grid_cols=4)
     defaults.update(overrides)
     return sim.ScenarioConfig(**defaults)
+
+
+RESULT_COLUMNS = ("q", "a", "b", "perf", "p", "tpr", "recall")
+
+
+def assert_same_run(x, y):
+    """Two SimResults agree on every decision and, exactly, on every column."""
+    assert x.alpha == y.alpha
+    assert x.flops == y.flops
+    for name in RESULT_COLUMNS:
+        np.testing.assert_array_equal(getattr(x, name), getattr(y, name), strict=True)
+
+
+@pytest.fixture
+def consumed(monkeypatch):
+    """The frames sim.run generates, appended in the order it consumes them."""
+    frames = []
+    next_frame = sim.FrameGenerator.next
+    monkeypatch.setattr(
+        sim.FrameGenerator, "next", lambda gen, t: frames.append(next_frame(gen, t)) or frames[-1]
+    )
+    return frames
 
 
 def frame_observation(frame, sc, coupled_arrival=False):
@@ -113,24 +139,27 @@ class TestRun:
     def test_deterministic(self):
         sc = tiny_scenario()
         results = [sim.run(sc, AlwaysPolicy(ModelChoice.T)) for _ in range(2)]
-        assert results[0].records == results[1].records
+        assert_same_run(*results)
 
-    def test_identical_frames_across_policies(self):
+    def test_identical_frames_across_policies(self, consumed):
         # frame stream must not depend on policy decisions
         sc = tiny_scenario()
-        rec_t = sim.run(sc, AlwaysPolicy(ModelChoice.T)).records
-        rec_h = sim.run(sc, AlwaysPolicy(ModelChoice.H)).records
-        for rt, rh in zip(rec_t, rec_h):
-            assert (rt.regime, rt.num_truth) == (rh.regime, rh.num_truth)
+        seen = []
+        for choice in (ModelChoice.T, ModelChoice.H):
+            sim.run(sc, AlwaysPolicy(choice))
+            seen.append([(frame.regime, frame.num_objects) for frame in consumed])
+            consumed.clear()
+        assert len(seen[0]) == sc.horizon
+        assert seen[0] == seen[1]
 
     def test_queue_replay_matches_recursion(self):
         sc = tiny_scenario()
         result = sim.run(sc, make_policy(PolicyKind.DPP))
         q = 0.0
-        for r in result.records:
-            assert r.q_before == q
-            q = queue_update(q, r.a, r.b)
-            assert r.q_after == q
+        for q_before, q_after, a, b in zip(result.q_before, result.q, result.a, result.b):
+            assert q_before == q
+            q = queue_update(q, a, b)
+            assert q_after == q
             assert q >= 0.0
 
     def test_drift_bound_holds(self):
@@ -139,12 +168,13 @@ class TestRun:
             result = sim.run(sc, make_policy(kind))
             assert drift_bound_check(result.trajectory()).ok
 
-    def test_uncoupled_arrivals_follow_plain_detector(self):
+    def test_uncoupled_arrivals_follow_plain_detector(self, consumed):
         sc = tiny_scenario(couple_arrival=False)
         result = sim.run(sc, AlwaysPolicy(ModelChoice.H))
         cfg = ControllerConfig()
-        for r in result.records:
-            assert r.a == pytest.approx(cfg.w_fps * (sc.base_latency_t + 0.001 * r.num_truth))
+        assert len(consumed) == len(result.a) == sc.horizon
+        for frame, a in zip(consumed, result.a):
+            assert a == pytest.approx(cfg.w_fps * (sc.base_latency_t + 0.001 * frame.num_objects))
 
     def test_horizon_zero(self):
         result = sim.run(tiny_scenario(horizon=0), AlwaysPolicy(ModelChoice.T))
@@ -157,7 +187,8 @@ class TestRun:
         sc = tiny_scenario(horizon=60)
         frames = list(generated_frames(sc, (4,), count))
         result = sim.run(sc, AlwaysPolicy(ModelChoice.T), frames=frames)
-        assert [r.t for r in result.records] == list(range(count))
+        assert len(result) == count
+        assert all(len(getattr(result, name)) == count for name in RESULT_COLUMNS)
 
     @pytest.mark.parametrize("couple", [True, False])
     def test_dpp_follows_scenario_coupling(self, couple):
@@ -169,11 +200,11 @@ class TestRun:
         frames = list(generated_frames(sc, (2,), sc.horizon))
         result = sim.run(sc, DppPolicy(), cfg=cfg, frames=frames)
         rules_differ = False
-        for frame, r in zip(frames, result.records):
+        for frame, alpha, q in zip(frames, result.alpha, result.q_before, strict=True):
             obs = frame_observation(frame, sc, couple)
-            assert r.alpha is dpp_select(r.q_before, obs, cfg)
+            assert alpha is dpp_select(q, obs, cfg)
             flipped = dataclasses.replace(obs, coupled_arrival=not couple)
-            rules_differ |= dpp_select(r.q_before, flipped, cfg) is not r.alpha
+            rules_differ |= dpp_select(q, flipped, cfg) is not alpha
         assert rules_differ
 
     @pytest.mark.parametrize("couple", [True, False])
@@ -184,15 +215,62 @@ class TestRun:
         episode = []
         result = sim.run(sc, UniformRandomPolicy(), cfg=cfg, frames=frames, collect=episode)
         assert len(episode) == len(frames)
-        for frame, r, (_, alpha, reward) in zip(frames, result.records, episode):
-            assert alpha is r.alpha
-            assert reward == dpp_score(alpha, r.q_before, frame_observation(frame, sc), cfg)
+        rows = zip(frames, result.alpha, result.q_before, episode, strict=True)
+        prev_a = prev_b = prev_perf = 0.0
+        for t, (frame, chosen, q, (state, alpha, reward)) in enumerate(rows):
+            assert alpha is chosen
+            assert reward == dpp_score(alpha, q, frame_observation(frame, sc), cfg)
+            # the policy sees the previous step's b twice
+            expected = make_policy_state(q, prev_a, prev_b, prev_b, prev_perf, cfg)
+            np.testing.assert_array_equal(state, expected, strict=True)
+            prev_a, prev_b, prev_perf = result.a[t], result.b[t], result.perf[t]
 
-    def test_seed_changes_frames(self):
+    def test_seed_changes_frames(self, consumed):
         sc = tiny_scenario()
-        a = sim.run(sc, AlwaysPolicy(ModelChoice.T), seed=0).records
-        b = sim.run(sc, AlwaysPolicy(ModelChoice.T), seed=1).records
-        assert [r.num_truth for r in a] != [r.num_truth for r in b]
+        counts = []
+        for seed in (0, 1):
+            sim.run(sc, AlwaysPolicy(ModelChoice.T), seed=seed)
+            counts.append([frame.num_objects for frame in consumed])
+            consumed.clear()
+        assert counts[0] != counts[1]
+
+    @pytest.mark.parametrize("couple", [True, False])
+    @pytest.mark.parametrize("name", ["dpp", "always H", "always T", "uniform"])
+    def test_every_column_recomputed_from_its_frame(self, name, couple):
+        sc = tiny_scenario(horizon=120, couple_arrival=couple, mean_objects_stationary=0.8,
+                           miss_prob=0.5)
+        cfg = ControllerConfig(tie_break=ModelChoice.T)
+        frames = list(generated_frames(sc, (8,), sc.horizon))
+        policy = {
+            "dpp": DppPolicy(),
+            "always H": AlwaysPolicy(ModelChoice.H),
+            "always T": AlwaysPolicy(ModelChoice.T),
+            "uniform": UniformRandomPolicy(),
+        }[name]
+        result = sim.run(sc, policy, cfg=cfg, frames=frames)
+        assert len(result) == len(frames)
+        assert result.flops == policy.flops_per_decision()
+        q = 0.0
+        for t, frame in enumerate(frames):
+            alpha = result.alpha[t]
+            obs = frame_observation(frame, sc, couple)
+            if name == "dpp":
+                assert alpha is dpp_select(q, obs, cfg)
+            elif name != "uniform":
+                assert alpha is policy.choice
+            dets, _, p = sim.emulate_detector(frame, alpha, sc)
+            _, _, p_t = sim.emulate_detector(frame, ModelChoice.T, sc)
+            a = arrival(cfg.w_fps, p if couple else p_t)
+            b = service(alpha, cfg)
+            metrics = score_against_truth(dets, frame.truth_boxes, sc.match_iou)
+            n = frame.num_objects
+            q = queue_update(q, a, b)
+            expected = (q, a, b, performance(alpha, obs.num_h, obs.num_t, cfg), p,
+                        metrics.true_positive_rate,
+                        metrics.correctly_detected / n if n else 1.0)
+            assert tuple(getattr(result, name)[t] for name in RESULT_COLUMNS) == expected
+        # the scene is not trivial: detection quality varies from step to step
+        assert len(set(result.tpr.tolist())) > 1 and len(set(result.recall.tolist())) > 1
 
 
 class TestSummarize:
@@ -200,14 +278,15 @@ class TestSummarize:
         sc = tiny_scenario(horizon=100)
         result = sim.run(sc, AlwaysPolicy(ModelChoice.H))
         s = sim.summarize(result)
-        recs = result.records
         assert s.steps == 100
-        assert s.avg_q == pytest.approx(np.mean([r.q_after for r in recs]))
-        assert s.mean_drift == pytest.approx(np.mean([r.a - r.b for r in recs]))
-        assert s.avg_accuracy == pytest.approx(np.mean([r.recall for r in recs]))
+        assert s.avg_q == pytest.approx(np.mean(result.q))
+        assert s.mean_drift == pytest.approx(np.mean([a - b for a, b in zip(result.a, result.b)]))
+        assert s.avg_accuracy == pytest.approx(np.mean(result.recall))
         assert s.decision_mix == {"H": 100, "T": 0}
         assert s.total_flops == 0
-        assert s.overflow == any(r.q_after > sc.overflow_cap for r in recs)
+        assert s.overflow == any(q > sc.overflow_cap for q in result.q)
+        dpp = sim.run(sc, DppPolicy())
+        assert sim.summarize(dpp).total_flops == 100 * dpp.flops > 0
 
     def test_always_hybrid_drift_positive_on_cpu_profile(self):
         sc, cfg = sim.benchmark_config(seed=0, horizon=400)
@@ -334,18 +413,19 @@ class TestEmptyGridShortcut:
         sc = dataclasses.replace(DIFFERENTIAL_SCENARIOS[name], horizon=120)
         cfg = ControllerConfig(tie_break=ModelChoice.T)
 
-        def records():
+        def results():
             policies = [
                 make_policy(PolicyKind.DPP),
                 make_policy(PolicyKind.ALWAYS_H),
                 make_policy(PolicyKind.REINFORCE, seed=3),
                 UniformRandomPolicy(),
             ]
-            return [sim.run(sc, policy, cfg=cfg).records for policy in policies]
+            return [sim.run(sc, policy, cfg=cfg) for policy in policies]
 
-        fast = records()
+        fast = results()
         monkeypatch.setattr(sim, "emulate_detector", full_detector)
-        assert records() == fast
+        for full, quick in zip(results(), fast, strict=True):
+            assert_same_run(full, quick)
 
     @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_SCENARIOS))
     def test_generated_grids_pass_validation(self, name):
