@@ -103,6 +103,14 @@ def _count(path, line, row, key):
     return value
 
 
+def _number(path, line, row, key):
+    """row[key] as a float; errors name the file and line."""
+    try:
+        return float(row[key])
+    except ValueError:
+        raise ValueError(f"{path}: line {line}: {key} must be a number, got {row[key]!r}") from None
+
+
 GRID_HEADER = ["i", "j", "k", "conf", "cx", "cy", "w", "h"]
 
 
@@ -129,8 +137,8 @@ def load_grid_csv(path):
                     _count(path, line, row, "i"),
                     _count(path, line, row, "j"),
                     _count(path, line, row, "k"),
-                    float(row["conf"]),
-                    (float(row["cx"]), float(row["cy"]), float(row["w"]), float(row["h"])),
+                    _number(path, line, row, "conf"),
+                    tuple(_number(path, line, row, key) for key in ("cx", "cy", "w", "h")),
                 )
             )
     if not entries:
@@ -154,8 +162,9 @@ def load_trace(path):
     a flow map and a confidence grid (relative to the trace file).
 
     Returns FrameObservations with empty ground truth (external traces carry
-    detections, not labels).  Each flow map is checked as it loads, because
-    the simulator skips the flow map of a frame with an empty grid.
+    detections, not labels), whose tpr and recall the simulator reports as
+    NaN.  Each flow map is checked as it loads, because the simulator skips
+    the flow map of a frame with an empty grid.
     """
     from .sim import FrameObservation  # deferred: sim imports this module's peers
 

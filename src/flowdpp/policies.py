@@ -4,6 +4,10 @@ and a REINFORCE policy-gradient controller with a small MLP.
 The MLP maps a 10-entry state vector to action probabilities over (H, T);
 action index 0 is H, index 1 is T.  Forward, backward, and the Adam step are
 written out in numpy so gradients can be checked against finite differences.
+The gradient runs over the whole episode as matrix products: one forward pass
+over the stacked (T, 10) state matrix and one backward pass over its rows,
+with no per-step loop.  A single decision is a forward pass over a batch of
+one.
 """
 
 import enum
@@ -91,24 +95,29 @@ def init_mlp(rng, sizes=(STATE_SIZE, HIDDEN_SIZE, HIDDEN_SIZE, NUM_ACTIONS)):
     return MlpParams(*arrays)
 
 
+def _forward(params, states):
+    """Forward pass over a (T, in) state matrix, one row per state; returns
+    (probs, h1, h2, logits), each with one row per state."""
+    h1 = np.maximum(states @ params.w1.T + params.b1, 0.0)
+    h2 = np.maximum(h1 @ params.w2.T + params.b2, 0.0)
+    logits = h2 @ params.w3.T + params.b3
+    exp = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return exp / exp.sum(axis=1, keepdims=True), h1, h2, logits
+
+
 def mlp_forward(params, state):
-    """Forward pass; returns (action probabilities, cached activations).
+    """Forward pass on one state; returns (action probabilities, cached
+    activations).
 
     The output layer is raw logits + softmax (no ReLU) so both actions stay
-    reachable with any sign of logit.
+    reachable with any sign of logit.  A batch of one through the episode's
+    forward pass gives the same bits as the matrix-vector products would.
     """
     s = np.asarray(state, dtype=np.float64)
     if s.shape != (params.w1.shape[1],):
         raise ValueError(f"state shape {s.shape} does not match input size {params.w1.shape[1]}")
-    z1 = params.w1 @ s + params.b1
-    h1 = np.maximum(z1, 0.0)
-    z2 = params.w2 @ h1 + params.b2
-    h2 = np.maximum(z2, 0.0)
-    logits = params.w3 @ h2 + params.b3
-    shifted = logits - logits.max()
-    exp = np.exp(shifted)
-    probs = exp / exp.sum()
-    return probs, (s, h1, h2, logits)
+    probs, h1, h2, logits = _forward(params, s[None])
+    return probs[0], (s, h1[0], h2[0], logits[0])
 
 
 def make_policy_state(q, a_prev, b_prev, b_cur, p_cur, cfg):
@@ -134,41 +143,45 @@ def _normalized_returns(episode, gamma):
     return returns / len(rewards)
 
 
+def _episode_arrays(params, episode, gamma):
+    """The episode as a (T, in) state matrix, the taken action indices and
+    the normalized returns."""
+    if not episode:
+        raise ValueError("episode must be non-empty")
+    states = np.array([s for (s, _, _) in episode], dtype=np.float64)
+    size = params.w1.shape[1]
+    if states.shape != (len(episode), size):
+        raise ValueError(f"episode states {states.shape} do not match input size {size}")
+    actions = np.array([ACTION_INDEX[a] for (_, a, _) in episode])
+    return states, actions, _normalized_returns(episode, gamma)
+
+
 def episode_objective(params, episode, gamma=0.99):
     """REINFORCE objective sum_t log pi(a_t | s_t) * G_t (normalized returns);
     the analytic gradient of this quantity is what policy_gradient returns."""
-    returns = _normalized_returns(episode, gamma)
-    total = 0.0
-    for (state, action, _), g in zip(episode, returns):
-        probs, _ = mlp_forward(params, state)
-        total += np.log(probs[ACTION_INDEX[action]]) * g
-    return total
+    states, actions, returns = _episode_arrays(params, episode, gamma)
+    probs = _forward(params, states)[0]
+    return float(np.log(probs[np.arange(len(actions)), actions]) @ returns)
 
 
 def policy_gradient(params, episode, gamma=0.99):
-    """Analytic gradient of episode_objective with respect to every layer.
+    """Analytic gradient of episode_objective with respect to every layer,
+    as matrix products over the whole episode.
 
     Returns a list of arrays matching MlpParams.arrays() order.
     """
-    if not episode:
-        raise ValueError("episode must be non-empty")
-    returns = _normalized_returns(episode, gamma)
-    grads = [np.zeros_like(a) for a in params.arrays()]
-    for (state, action, _), g in zip(episode, returns):
-        probs, (s, h1, h2, _) = mlp_forward(params, state)
-        dlogits = -probs * g
-        dlogits[ACTION_INDEX[action]] += g
-        grads[4] += np.outer(dlogits, h2)
-        grads[5] += dlogits
-        dh2 = params.w3.T @ dlogits
-        dz2 = dh2 * (h2 > 0.0)
-        grads[2] += np.outer(dz2, h1)
-        grads[3] += dz2
-        dh1 = params.w2.T @ dz2
-        dz1 = dh1 * (h1 > 0.0)
-        grads[0] += np.outer(dz1, s)
-        grads[1] += dz1
-    return grads
+    states, actions, returns = _episode_arrays(params, episode, gamma)
+    probs, h1, h2, _ = _forward(params, states)
+    # d objective / d logits, one row per step: G_t * (onehot(a_t) - probs)
+    dlogits = -probs * returns[:, None]
+    dlogits[np.arange(len(actions)), actions] += returns
+    dz2 = (dlogits @ params.w3) * (h2 > 0.0)
+    dz1 = (dz2 @ params.w2) * (h1 > 0.0)
+    return [
+        dz1.T @ states, dz1.sum(axis=0),
+        dz2.T @ h1, dz2.sum(axis=0),
+        dlogits.T @ h2, dlogits.sum(axis=0),
+    ]
 
 
 @dataclass
@@ -295,10 +308,14 @@ class ReinforcePolicy:
 
     def decide(self, q, obs, cfg, state, rng):
         probs, _ = mlp_forward(self.params, compress_state(state))
-        return INDEX_ACTION[rng.choice(NUM_ACTIONS, p=probs)]
+        p_h, p_t = probs.tolist()
+        # rng.choice(2, p=probs) without its input checks: one uniform draw
+        # against the normalized CDF, so the same stream gives the same action
+        return INDEX_ACTION[int(rng.random() >= p_h / (p_h + p_t))]
 
     def update(self, episode, lr=2e-4, gamma=0.99):
-        episode = [(compress_state(s), a, r) for (s, a, r) in episode]
+        states = compress_state([s for (s, _, _) in episode])
+        episode = [(s, a, r) for s, (_, a, r) in zip(states, episode)]
         self.params, self.opt = reinforce_update(
             self.params, episode, lr=lr, gamma=gamma, opt=self.opt
         )

@@ -283,7 +283,7 @@ def step(q, prev, frame, policy, scenario, cfg, rng, collect=None):
 
     q is the backlog before the step and prev the previous step's
     (a, b, perf).  Returns the step's row (alpha, q after, a, b, perf, p,
-    tpr, recall).
+    tpr, recall); tpr and recall are NaN on an unlabeled trace frame.
     """
     sc = scenario
     prev_a, prev_b, prev_perf = prev
@@ -298,12 +298,17 @@ def step(q, prev, frame, policy, scenario, cfg, rng, collect=None):
     a = arrival(cfg.w_fps, p if sc.couple_arrival else p_t)
     b = service(alpha, cfg)
     perf = performance(alpha, num_h, num_t, cfg)
-    metrics = score_against_truth(dets, frame.truth_boxes, sc.match_iou)
-    recall = metrics.correctly_detected / frame.num_objects if frame.num_objects else 1.0
+    if frame.declared_objects is not None and not frame.truth_boxes:
+        # an unlabeled trace frame: a count but no boxes to score against
+        tpr = recall = float("nan")
+    else:
+        metrics = score_against_truth(dets, frame.truth_boxes, sc.match_iou)
+        tpr = metrics.true_positive_rate
+        recall = metrics.correctly_detected / frame.num_objects if frame.num_objects else 1.0
     if collect is not None:
         # the plain DPP score V*P + Q*b, without the coupled rule's -Q*a term
         collect.append((pstate, alpha, cfg.v * perf + q * b))
-    return alpha, queue_update(q, a, b), a, b, perf, p, metrics.true_positive_rate, recall
+    return alpha, queue_update(q, a, b), a, b, perf, p, tpr, recall
 
 
 def check_frames(frames, scenario):
@@ -358,7 +363,8 @@ class Summary:
 
 
 def summarize(result):
-    """Aggregate a run; recomputable from its columns."""
+    """Aggregate a run; recomputable from its columns.  avg_tpr and
+    avg_accuracy are NaN when the run replayed unlabeled trace frames."""
     if not len(result):
         raise ValueError("cannot summarize an empty result")
     h = result.alpha.count(ModelChoice.H)

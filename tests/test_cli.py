@@ -1,4 +1,5 @@
 import configparser
+import csv
 
 import numpy as np
 import pytest
@@ -292,9 +293,9 @@ class TestCompareCommand:
 
 
 class TestTraceReplay:
-    def test_round_trip_matches_in_memory_run(self, tmp_path, monkeypatch, capsys):
-        """Frames written to files and replayed through a trace give DPP the
-        same decisions and backlog as the in-memory run on those frames."""
+    def write_trace(self, tmp_path):
+        """A run config replaying 60 generated frames from files; returns the
+        config path, the loaded config and the frames, with their truth boxes."""
         cfg_path = tmp_path / "run.ini"
         trace_path = tmp_path / "trace" / "trace.csv"
         cfg_path.write_text(
@@ -316,7 +317,12 @@ class TestTraceReplay:
             fileio.save_grid_csv(trace_path.parent / conf_file, frame.grid)
             rows.append(f"{frame.t},{frame.regime},{frame.num_objects},{flow_file},{conf_file}")
         trace_path.write_text("\n".join(rows) + "\n")
+        return cfg_path, cfg, frames
 
+    def test_round_trip_matches_in_memory_run(self, tmp_path, monkeypatch, capsys):
+        """Frames written to files and replayed through a trace give DPP the
+        same decisions and backlog as the in-memory run on those frames."""
+        cfg_path, cfg, frames = self.write_trace(tmp_path)
         policy = make_policy(PolicyKind.DPP)
         memory = sim.run(cfg.scenario, policy, cfg=cfg.controller, frames=frames)
         assert {alpha.value for alpha in memory.alpha} == {"H", "T"}
@@ -327,7 +333,7 @@ class TestTraceReplay:
         out_dir = tmp_path / "out"
         assert main(["compare", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
         capsys.readouterr()
-        assert loads == [str(trace_path)]
+        assert loads == [str(cfg.trace)]
 
         lines = (out_dir / "timeseries.csv").read_text().splitlines()
         header = lines[0].split(",")
@@ -335,6 +341,28 @@ class TestTraceReplay:
         replay = [row for row in replay if row["policy"] == "dpp"]
         assert [row["alpha"] for row in replay] == [alpha.value for alpha in memory.alpha]
         assert [float(row["Q"]) for row in replay] == memory.q.tolist()
+
+    def test_unlabeled_trace_reports_accuracy_as_nan(self, tmp_path, capsys):
+        """A trace declares object counts but carries no truth boxes, so its
+        accuracy is not available: nan, not a score of 0."""
+        cfg_path, cfg, frames = self.write_trace(tmp_path)
+        labeled = sim.summarize(
+            sim.run(cfg.scenario, make_policy(PolicyKind.DPP), cfg=cfg.controller, frames=frames)
+        )
+        assert np.isfinite(labeled.avg_tpr) and labeled.avg_accuracy > 0.9
+        out_dir = tmp_path / "out"
+        assert main(["compare", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
+        capsys.readouterr()
+        with open(out_dir / "summary.csv", newline="") as f:
+            summary = list(csv.DictReader(f))
+        assert [row["policy"] for row in summary] == ["dpp", "comp1", "comp2", "comp3"]
+        for row in summary:
+            assert (row["avg_tpr"], row["avg_accuracy"]) == ("nan", "nan")
+            assert row["steps"] == "60" and float(row["avg_q"]) >= 0.0
+        with open(out_dir / "timeseries.csv", newline="") as f:
+            assert {row["tpr"] for row in csv.DictReader(f)} == {"nan"}
+        accuracy = (out_dir / "accuracy.dat").read_text().splitlines()[1:]
+        assert {value for line in accuracy for value in line.split()[1:]} == {"nan"}
 
 
 class TestTraceInputErrors:
@@ -437,3 +465,14 @@ class TestTraceInputErrors:
         trace_path = self.write_trace(tmp_path, row=row)
         self.assert_exits_2(tmp_path, trace_path, capsys,
                             f"trace.csv: line 2: {column} must be an integer, got '{value}'")
+
+    @pytest.mark.parametrize("column", ["conf", "cx", "cy", "w", "h"])
+    def test_non_numeric_grid_field(self, tmp_path, capsys, column):
+        trace_path = self.write_trace(tmp_path)
+        grid = trace_path.parent / "conf0.csv"
+        header, first, *rest = grid.read_text().splitlines()
+        fields = first.split(",")
+        fields[fileio.GRID_HEADER.index(column)] = "x"
+        grid.write_text("\n".join([header, ",".join(fields), *rest]) + "\n")
+        self.assert_exits_2(tmp_path, trace_path, capsys,
+                            f"conf0.csv: line 2: {column} must be a number, got 'x'")

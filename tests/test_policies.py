@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from flowdpp import policies, sim
 from flowdpp.controller import ControllerConfig, ModelChoice, StepObservation
 from flowdpp.policies import (
     ACTION_INDEX,
+    INDEX_ACTION,
     AdamState,
     AlwaysPolicy,
     DppPolicy,
@@ -48,12 +50,67 @@ def random_episode(rng, params, length=6):
 
 
 def forward_oracle(params, state):
-    """Independent straight-line forward pass."""
+    """Independent straight-line matrix-vector forward pass; returns (probs,
+    h1, h2, logits)."""
     h1 = np.maximum(params.w1 @ state + params.b1, 0.0)
     h2 = np.maximum(params.w2 @ h1 + params.b2, 0.0)
     logits = params.w3 @ h2 + params.b3
-    e = np.exp(logits - logits.max())
-    return e / e.sum()
+    shifted = logits - logits.max()
+    exp = np.exp(shifted)
+    return exp / exp.sum(), h1, h2, logits
+
+
+def returns_oracle(episode, gamma):
+    returns, acc = [], 0.0
+    for (_, _, r) in reversed(episode):
+        acc = r + gamma * acc
+        returns.append(acc)
+    return np.array(returns[::-1]) / len(episode)
+
+
+def objective_oracle(params, episode, gamma=0.99):
+    """Per-step sum of log pi(a_t | s_t) * G_t."""
+    total = 0.0
+    for (state, action, _), g in zip(episode, returns_oracle(episode, gamma)):
+        probs = forward_oracle(params, state)[0]
+        total += np.log(probs[ACTION_INDEX[action]]) * g
+    return total
+
+
+def gradient_oracle(params, episode, gamma=0.99):
+    """Per-step backward pass with outer products, accumulated over the
+    episode; the reference for the batched policy_gradient."""
+    grads = [np.zeros_like(a) for a in params.arrays()]
+    for (state, action, _), g in zip(episode, returns_oracle(episode, gamma)):
+        s = np.asarray(state, dtype=np.float64)
+        probs, h1, h2, _ = forward_oracle(params, s)
+        dlogits = -probs * g
+        dlogits[ACTION_INDEX[action]] += g
+        grads[4] += np.outer(dlogits, h2)
+        grads[5] += dlogits
+        dz2 = (params.w3.T @ dlogits) * (h2 > 0.0)
+        grads[2] += np.outer(dz2, h1)
+        grads[3] += dz2
+        dz1 = (params.w2.T @ dz2) * (h1 > 0.0)
+        grads[0] += np.outer(dz1, s)
+        grads[1] += dz1
+    return grads
+
+
+def episode_with_dead_rows(length, seed):
+    """Default-size parameters and an episode in which every third state
+    drives all first-layer pre-activations negative (an all-zero ReLU row)."""
+    rng = np.random.default_rng(seed)
+    params = init_mlp(rng)
+    params.w1[:, 0] = np.abs(params.w1[:, 0]) + 0.05
+    episode = []
+    for t in range(length):
+        state = rng.uniform(-1.0, 1.0, size=10)
+        if t % 3 == 1:
+            state[0] = -1000.0
+        action = ModelChoice.H if rng.random() < 0.5 else ModelChoice.T
+        episode.append((state, action, rng.normal() * 10))
+    return params, episode
 
 
 class TestMlpForward:
@@ -73,9 +130,24 @@ class TestMlpForward:
         for _ in range(10):
             state = rng.normal(size=4)
             probs, cache = mlp_forward(params, state)
-            np.testing.assert_allclose(probs, forward_oracle(params, state), atol=1e-12)
+            np.testing.assert_allclose(probs, forward_oracle(params, state)[0], atol=1e-12)
             assert probs.sum() == pytest.approx(1.0)
             np.testing.assert_array_equal(cache[0], state)
+
+    @pytest.mark.parametrize("sizes", [(10, 128, 128, 2), (4, 5, 5, 2)])
+    def test_single_state_is_bit_identical_to_matrix_vector_formula(self, sizes):
+        # decisions feed timeseries.csv, so the batch-of-one forward pass
+        # must reproduce the matrix-vector products bit for bit
+        rng = np.random.default_rng(29)
+        for seed in range(20):
+            params = init_mlp(np.random.default_rng(seed), sizes)
+            for _ in range(25):
+                state = compress_state(rng.normal(scale=5.0, size=sizes[0]))
+                probs, (s, h1, h2, logits) = mlp_forward(params, state)
+                want = forward_oracle(params, state)
+                for got, expected in zip((probs, h1, h2, logits), want):
+                    np.testing.assert_array_equal(got, expected)
+                np.testing.assert_array_equal(s, state)
 
     def test_rejects_wrong_state_size(self):
         with pytest.raises(ValueError):
@@ -109,9 +181,29 @@ class TestPolicyGradient:
                 scale = max(abs(fd), abs(grad[idx]), 1e-8)
                 assert abs(fd - grad[idx]) / scale < 1e-4, (layer, idx)
 
+    @pytest.mark.parametrize("length", [1, 5, 50])
+    def test_batched_matches_per_step_oracle(self, length):
+        params, episode = episode_with_dead_rows(length, seed=length)
+        if length > 1:
+            dead = [np.all(forward_oracle(params, s)[1] == 0.0) for s, _, _ in episode]
+            assert any(dead) and not all(dead)
+            assert {a for _, a, _ in episode} == {ModelChoice.H, ModelChoice.T}
+        for got, want in zip(policy_gradient(params, episode), gradient_oracle(params, episode)):
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        np.testing.assert_allclose(
+            episode_objective(params, episode), objective_oracle(params, episode), rtol=1e-12
+        )
+
     def test_rejects_empty_episode(self):
         with pytest.raises(ValueError):
             policy_gradient(small_params(), [])
+
+    def test_rejects_wrong_state_size(self):
+        episode = [(np.zeros(4), ModelChoice.H, 1.0), (np.zeros(3), ModelChoice.T, 1.0)]
+        for fn in (policy_gradient, episode_objective):
+            with pytest.raises(ValueError):
+                fn(small_params(), episode)
 
     def test_zero_return_episode_has_zero_gradient(self):
         params = small_params(5)
@@ -147,6 +239,21 @@ class TestReinforceUpdate:
         new, _ = reinforce_update(params, episode)
         for a, b in zip(new.arrays(), params.arrays()):
             np.testing.assert_allclose(a, b, atol=1e-12)
+
+    def test_training_equals_per_step_oracle_training(self, monkeypatch):
+        # the acceptance criterion-7 scene, at 40 episodes of 10 steps
+        scenario = sim.ScenarioConfig(
+            horizon=10, start_driving=False, p_stay_stationary=1.0, p_stay_driving=0.0,
+            mean_objects_stationary=2.5, miss_prob=0.7, false_positive_rate=0.0,
+        )
+        batched, batched_rewards = sim.train_reinforce(scenario, episodes=40, seed=3)
+        monkeypatch.setattr(policies, "policy_gradient", gradient_oracle)
+        oracle, oracle_rewards = sim.train_reinforce(scenario, episodes=40, seed=3)
+        assert batched_rewards == oracle_rewards
+        assert len(set(oracle_rewards)) > 1
+        for got, want in zip(batched.params.arrays(), oracle.params.arrays()):
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+        assert oracle.opt.step == batched.opt.step == 40
 
     def test_optimizer_state_chains(self):
         rng = np.random.default_rng(19)
@@ -229,6 +336,41 @@ class TestPolicies:
         seen = {policy.decide(1.0, self.obs(), cfg, state, rng) for _ in range(200)}
         assert seen == {ModelChoice.H, ModelChoice.T}
         assert policy.flops_per_decision() == 35_840
+
+    def test_reinforce_decide_equals_generator_choice(self):
+        cfg = ControllerConfig()
+        learners = [ReinforcePolicy(seed=seed) for seed in range(5)]
+        # a leaning, a saturated-H and a saturated-T output layer
+        for learner, bias in zip(learners[2:], [(3.0, -3.0), (800.0, -800.0), (-800.0, 800.0)]):
+            learner.params.b3[:] = bias
+        rng, twin = np.random.default_rng(31), np.random.default_rng(31)
+        state_rng = np.random.default_rng(37)
+        seen = [set() for _ in learners]
+        for draw in range(12_000):
+            which = draw % len(learners)
+            state = make_policy_state(*state_rng.uniform(0.0, 20.0, size=5), cfg)
+            probs, _ = mlp_forward(learners[which].params, compress_state(state))
+            if which >= 3:
+                assert probs.tolist() in ([1.0, 0.0], [0.0, 1.0])
+            want = INDEX_ACTION[twin.choice(2, p=probs)]
+            got = learners[which].decide(0.0, self.obs(), cfg, state, rng)
+            assert got is want, draw
+            seen[which].add(got)
+        both = {ModelChoice.H, ModelChoice.T}
+        assert seen == [both, both, both, {ModelChoice.H}, {ModelChoice.T}]
+
+    def test_reinforce_decide_on_a_draw_equal_to_p_h(self, monkeypatch):
+        # Generator.choice picks T when the uniform draw equals P(H) exactly
+        cfg = ControllerConfig()
+        learner = ReinforcePolicy(seed=0)
+        rng, twin, peek = (np.random.default_rng(41) for _ in range(3))
+        for _ in range(100):
+            u = peek.random()
+            probs = np.array([u, 1.0 - u])
+            assert probs[0] + probs[1] == 1.0
+            monkeypatch.setattr(policies, "mlp_forward", lambda params, state: (probs, None))
+            assert twin.choice(2, p=probs) == 1
+            assert learner.decide(0.0, self.obs(), cfg, np.zeros(10), rng) is ModelChoice.T
 
     def test_uniform_policy_is_seed_deterministic(self):
         cfg = ControllerConfig()
