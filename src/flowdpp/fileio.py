@@ -3,6 +3,7 @@ grid CSVs, and simulation trace CSVs."""
 
 import csv
 import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,8 @@ FLO_MAGIC = np.float32(202021.25)
 
 
 def read_flo(path):
-    """Read a .flo file into an (h, w, 2) float32 array of (u, v) vectors."""
+    """Read a .flo file into a writable (h, w, 2) float32 array of (u, v)
+    vectors; the payload is read straight into it, with no second copy."""
     with open(path, "rb") as f:
         magic = np.frombuffer(f.read(4), dtype="<f4")
         if magic.size != 1 or magic[0] != FLO_MAGIC:
@@ -36,10 +38,15 @@ def read_flo(path):
         if dims.size != 2 or dims[0] < 1 or dims[1] < 1:
             raise ValueError(f"{path}: truncated or invalid .flo header")
         w, h = int(dims[0]), int(dims[1])
-        data = np.frombuffer(f.read(8 * w * h), dtype="<f4")
-        if data.size != 2 * w * h:
+        # a regular file's size is checked first, so a corrupt header cannot
+        # ask for a huge array; a pipe has no size, only the count check
+        st = os.fstat(f.fileno())
+        if stat.S_ISREG(st.st_mode) and st.st_size - f.tell() < 8 * w * h:
             raise ValueError(f"{path}: truncated .flo payload")
-        return data.reshape(h, w, 2).astype(np.float32)
+        data = np.empty((h, w, 2), dtype="<f4")
+        if f.readinto(data) != data.nbytes:
+            raise ValueError(f"{path}: truncated .flo payload")
+        return data.astype(np.float32, copy=False)
 
 
 def write_flo(path, flow):

@@ -9,11 +9,17 @@ cells with motion admit lower-confidence boxes.
 
 The public stage functions are pure: each validates its input and returns a
 new array.  process() validates the map and its parameters once, then runs
-the same private kernels in place in one map-size scratch buffer, so a frame
-costs one map-size allocation whatever the number of stages.  The median is
-a single-kth partition of that buffer plus the maximum of the lower half,
-which equals np.median bit for bit.  Resize matrices are cached per
-(source, target) size.
+the same private kernels in place.  Only three steps touch the whole map:
+the range and finiteness check, the shift into one map-size scratch buffer,
+and one partition of that buffer for the median (plus the maximum of its
+lower half), which equals np.median bit for bit.  The bicubic resize reads
+at most 4 source rows per grid row and 4 source columns per grid column, so
+deviation and squash run only on that sub-grid of taps; a 375x1242 camera
+map resized to 8x8 squashes 32x32 pixels.  The resize clip bounds, the
+squashed map's min and max, then come from the median's neighbours and the
+map's extremes, because the squashed deviation is monotone on either side
+of the median.  Tap indices and compact weights are cached per (source,
+target) size.
 """
 
 import functools
@@ -89,12 +95,14 @@ def _shift(arr, out, lo, span):
     return out
 
 
-def _median_destructive(buf):
-    """np.median of a contiguous array, reordering its elements in place.
+def _partition_median(buf):
+    """(median, lower, upper) of a contiguous array, reordering its elements
+    in place; median equals np.median bit for bit.
 
     One partition at n // 2 puts the upper middle value there and only
     smaller-or-equal values before it; for even n the lower middle value is
-    the maximum of that lower half.
+    the maximum of that lower half, for odd n it is the upper one.  Every
+    element is <= lower or >= upper.
     """
     flat = buf.ravel(order="K")
     n = flat.size
@@ -102,8 +110,9 @@ def _median_destructive(buf):
     flat.partition(half)
     upper = flat[half]
     if n % 2:
-        return upper
-    return (flat[:half].max() + upper) / 2.0
+        return upper, upper, upper
+    lower = flat[:half].max()
+    return (lower + upper) / 2.0, lower, upper
 
 
 def _abs_deviation(buf, median):
@@ -119,6 +128,22 @@ def _squash(buf):
     return np.divide(1.0, buf, out=buf)
 
 
+def _squashed_range(median, lower, upper, extent, span):
+    """[min, max] of the squashed deviations of a map shifted by _shift with
+    this extent and span, given _partition_median's (median, lower, upper)
+    of the shifted map.
+
+    fl(s - median) is monotone in s, so |s - median| falls to the median
+    and rises after it, and squash is monotone: the minimum sits at lower
+    or upper, between which no element lies, and the maximum at the
+    shifted map's ends, 0 and extent / span (extent when span is 0).
+    """
+    top = extent / span if span > 0.0 else extent
+    near = min(abs(lower - median), abs(upper - median))
+    far = max(abs(0.0 - median), abs(top - median))
+    return _squash(np.array([near, far]))
+
+
 def _keys_kernel(x, a=-0.5):
     """Classical cubic convolution kernel with free parameter a."""
     ax = np.abs(x)
@@ -127,13 +152,12 @@ def _keys_kernel(x, a=-0.5):
     return np.where(ax <= 1.0, inner, np.where(ax < 2.0, outer, 0.0))
 
 
-@functools.lru_cache(maxsize=32)
 def _resize_weights(n_src, n_dst):
     """Dense (n_dst, n_src) bicubic weight matrix, clamp-to-edge taps.
 
     Output sample i reads source coordinate (i + 0.5) * scale - 0.5, the
     center-aligned convention, which degenerates to the identity matrix when
-    n_src == n_dst.  Cached, so the matrix is read-only.
+    n_src == n_dst.  Each row has at most 4 nonzero entries.
     """
     scale = n_src / n_dst
     x = (np.arange(n_dst) + 0.5) * scale - 0.5
@@ -145,16 +169,39 @@ def _resize_weights(n_src, n_dst):
     taps = np.clip(taps, 0, n_src - 1)
     mat = np.zeros((n_dst, n_src))
     np.add.at(mat, (np.repeat(np.arange(n_dst), 4), taps.ravel()), weights.ravel())
-    mat.setflags(write=False)
     return mat
 
 
-def _resize(arr, target_rows, target_cols):
-    """Bicubic resize; returns arr itself when the shape already matches."""
-    rows, cols = arr.shape
+@functools.lru_cache(maxsize=32)
+def _taps(n_src, n_dst):
+    """(used, weights): the sorted source indices with a nonzero weight in
+    _resize_weights(n_src, n_dst), and its (n_dst, len(used)) columns at
+    those indices.  Cached, so both arrays are read-only.
+    """
+    dense = _resize_weights(n_src, n_dst)
+    used = np.flatnonzero(np.any(dense != 0.0, axis=0))
+    weights = np.ascontiguousarray(dense[:, used])  # the dense layout, for BLAS
+    for arr in (used, weights):
+        arr.setflags(write=False)
+    return used, weights
+
+
+def _resize_plan(shape, target_rows, target_cols):
+    """How to resize a map of this shape: None when it already matches,
+    else (index, row weights, column weights) with the resized map equal to
+    row_weights @ map[index] @ column_weights.T.  index selects the sub-grid
+    of tapped pixels; it is None when every pixel is tapped.
+    """
+    rows, cols = shape
     if (target_rows, target_cols) == (rows, cols):
-        return arr
-    return _resize_weights(rows, target_rows) @ arr @ _resize_weights(cols, target_cols).T
+        return None
+    rows_used, w_r = _taps(rows, target_rows)
+    cols_used, w_c = _taps(cols, target_cols)
+    if rows_used.size == rows and cols_used.size == cols:
+        index = None
+    else:
+        index = np.ix_(rows_used, cols_used)
+    return index, w_r, w_c
 
 
 def _thresholds(flat, num_boxes, c_th):
@@ -188,7 +235,7 @@ def center_abs_median(values):
     """
     arr = _as_flow_map(values)
     buf = arr.copy(order="K")
-    median = _median_destructive(buf)
+    median = _partition_median(buf)[0]
     np.copyto(buf, arr)
     return _abs_deviation(buf, median)
 
@@ -199,11 +246,17 @@ def squash(values):
 
 
 def resize_bicubic(values, target_rows, target_cols):
-    """Separable bicubic resize (Keys kernel, a = -0.5, clamped borders)."""
+    """Separable bicubic resize (Keys kernel, a = -0.5, clamped borders).
+
+    Reads only the source rows and columns with a nonzero tap weight.
+    """
     arr = _as_flow_map(values)
     _check_target(target_rows, target_cols)
-    out = _resize(arr, target_rows, target_cols)
-    return out.copy() if out is arr else out
+    plan = _resize_plan(arr.shape, target_rows, target_cols)
+    if plan is None:
+        return arr.copy()
+    index, w_r, w_c = plan
+    return w_r @ (arr if index is None else arr[index]) @ w_c.T
 
 
 def vectorize_thresholds(values, num_boxes, c_th):
@@ -231,25 +284,50 @@ def process(values, grid_rows, grid_cols, num_boxes, c_th, scale_range=False):
     rounding: positive, and below c_th.
 
     The map (see check_flow_map) and the parameters are validated once, up
-    front.  Shift, deviation and squash then run in place in one map-size
-    scratch buffer: it holds the shifted map, is partitioned for the median,
-    is refilled with the shifted map, and is turned into deviations and
-    squashed values.  The
-    result equals the composition of the public stages bit for bit, and the
-    input is never modified.  Runtime is linear in the number of map pixels.
+    front.  Only two more passes need the whole map: its shift into one
+    map-size scratch buffer, and one partition of that buffer for the median
+    (plus the maximum of its lower half when the pixel count is even).
+    Deviation and squash then run in place on the pixels the resize taps:
+    the scratch buffer itself when every pixel is tapped, else a gathered
+    copy of at most 4 rows per grid row by 4 columns per grid column.
+
+    When the buffer holds the whole squashed map, the clip bounds are its
+    min and max; on small maps such as the simulator's 32x32 that costs less
+    than squashing the bounds apart.  For a gathered copy they need no pass
+    of their own and are exact: the deviation |s - median| rounds
+    monotonically in s on either side of the median, and squash is
+    monotone, so the squashed minimum sits at the median's neighbours (the
+    partition's middle values, between which no element lies) and the
+    squashed maximum at the shifted map's ends, 0 and its maximum.
+
+    The result equals the composition of the public stages bit for bit, and
+    the input is never modified.  Runtime is one partition of the map plus
+    linear passes.
     """
     arr, lo, extent = _checked_extent(values)
     _check_target(grid_rows, grid_cols)
     _check_thresholds(num_boxes, c_th)
     span = extent if scale_range else 0.0
     buf = _shift(arr, np.empty_like(arr), lo, span)
-    median = _median_destructive(buf)
-    _shift(arr, buf, lo, span)
-    _squash(_abs_deviation(buf, median))
-    resized = _resize(buf, grid_rows, grid_cols)
-    if resized is not buf:
-        np.maximum(resized, buf.min(), out=resized)
-        np.minimum(resized, buf.max(), out=resized)
+    median, lower, upper = _partition_median(buf)
+    plan = _resize_plan(arr.shape, grid_rows, grid_cols)
+    if plan is None or plan[0] is None:  # every pixel is tapped: refill the buffer
+        tapped = _shift(arr, buf, lo, span)
+    else:
+        tapped = arr[plan[0]]
+        _shift(tapped, tapped, lo, span)
+    _squash(_abs_deviation(tapped, median))
+    if plan is None:
+        resized = tapped
+    else:
+        index, w_r, w_c = plan
+        resized = w_r @ tapped @ w_c.T
+        if index is None:  # tapped is the whole squashed map
+            floor, ceiling = tapped.min(), tapped.max()
+        else:
+            floor, ceiling = _squashed_range(median, lower, upper, extent, span)
+        np.maximum(resized, floor, out=resized)
+        np.minimum(resized, ceiling, out=resized)
     return _thresholds(resized.ravel(order="C"), num_boxes, c_th)
 
 

@@ -1,5 +1,7 @@
 import configparser
 import csv
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -60,6 +62,48 @@ class TestFlo:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ValueError, match="truncated"):
             fileio.read_flo(path)
+
+    def test_reads_into_one_writable_array(self, tmp_path):
+        flow = np.random.default_rng(1).standard_normal((375, 1242, 2)).astype(np.float32)
+        path = tmp_path / "camera.flo"
+        fileio.write_flo(path, flow)
+        back = fileio.read_flo(path)
+        assert back.dtype == np.float32 and back.shape == flow.shape
+        assert back.flags.writeable and back.flags.c_contiguous and back.flags.owndata
+        assert np.array_equal(back, flow)
+        for cut in (1, 8, flow.nbytes):
+            path.write_bytes(path.read_bytes()[:-cut] if cut < flow.nbytes else path.read_bytes()[:12])
+            with pytest.raises(ValueError, match="truncated .flo payload"):
+                fileio.read_flo(path)
+
+    def test_header_larger_than_file(self, tmp_path):
+        path = tmp_path / "huge.flo"
+        path.write_bytes(fileio.FLO_MAGIC.tobytes() + np.array([2**31 - 1] * 2, dtype="<i4").tobytes()
+                         + b"\x00" * 64)
+        with pytest.raises(ValueError, match="truncated .flo payload"):
+            fileio.read_flo(path)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_reads_through_a_named_pipe(self, tmp_path):
+        # a pipe has no size to check up front; the payload is larger than
+        # the pipe buffer, so it arrives in several chunks
+        flow = np.random.default_rng(2).standard_normal((375, 1242, 2)).astype(np.float32)
+        fileio.write_flo(tmp_path / "camera.flo", flow)
+        payload = (tmp_path / "camera.flo").read_bytes()
+        for data, error in ((payload, None), (payload[:-8], "truncated .flo payload")):
+            pipe = tmp_path / "pipe.flo"
+            os.mkfifo(pipe)
+            writer = threading.Thread(target=pipe.write_bytes, args=(data,))
+            writer.start()
+            try:
+                if error is None:
+                    assert np.array_equal(fileio.read_flo(pipe), flow)
+                else:
+                    with pytest.raises(ValueError, match=error):
+                        fileio.read_flo(pipe)
+            finally:
+                writer.join()
+                pipe.unlink()
 
     def test_magnitude(self):
         flow = np.zeros((1, 2, 2))

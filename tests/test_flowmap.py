@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowdpp import flowmap
+from flowdpp import fileio, flowmap
+from flowdpp.detection import ConfidenceGrid
 
 
 def sigmoid(x):
@@ -38,6 +39,36 @@ def float_maps(max_side=7, elements=finite | dyadic):
 
 def dyadic_maps(max_side=6):
     return float_maps(max_side, dyadic)
+
+
+ULPS = 16
+
+
+def assert_within_ulps(got, expected, scale=None):
+    """Each |got - expected| is at most ULPS ulps of expected, or of scale
+    where given (for sums whose terms may cancel)."""
+    ref = np.abs(expected) if scale is None else 2.0 * scale
+    assert np.all(np.abs(got - expected) <= ULPS * np.spacing(ref))
+
+
+# The four image shapes (rows, cols) of the KITTI-2015 flow benchmark.
+KITTI_SHAPES = [(375, 1242), (370, 1224), (374, 1238), (376, 1241)]
+
+
+def blob_flow(rng, rows, cols, blobs=3):
+    """Flow magnitude of an expansion about a focus point plus Gaussian
+    bumps of independent motion (moving objects)."""
+    y, x = np.mgrid[0:rows, 0:cols].astype(np.float64)
+    k = rng.uniform(0.002, 0.006)
+    u = k * (x - rng.uniform(0.4, 0.6) * cols)
+    v = k * (y - rng.uniform(0.4, 0.6) * rows)
+    for _ in range(blobs):
+        r = rng.uniform(0.02, 0.08) * cols
+        g = np.exp(-((y - rng.uniform(0, rows)) ** 2 + (x - rng.uniform(0, cols)) ** 2) / (2 * r * r))
+        du, dv = rng.uniform(-12.0, 12.0, 2)
+        u += du * g
+        v += dv * g
+    return np.hypot(u, v)
 
 
 class TestShiftMin:
@@ -257,6 +288,18 @@ def composed(values, grid_rows, grid_cols, num_boxes, c_th, scale_range=False):
     return flowmap.vectorize_thresholds(resized, num_boxes, c_th)
 
 
+def dense_process(values, grid_rows, grid_cols, num_boxes, c_th, scale_range=False):
+    """process() with dense weight matrices over the whole squashed map,
+    clipped to its full-map min and max: the sum over every source pixel
+    that the compact taps reproduce up to rounding."""
+    squashed = flowmap.squash(flowmap.center_abs_median(flowmap.shift_min(values, scale_range)))
+    rows, cols = squashed.shape
+    resized = (flowmap._resize_weights(rows, grid_rows) @ squashed
+               @ flowmap._resize_weights(cols, grid_cols).T)
+    np.clip(resized, squashed.min(), squashed.max(), out=resized)
+    return flowmap.vectorize_thresholds(resized, num_boxes, c_th)
+
+
 FIXED_MAPS = {
     "1x1": np.array([[2.5]]),
     "1xn": np.arange(7.0)[None, :] ** 2,
@@ -349,6 +392,124 @@ class TestProcessDifferential:
                 pipeline(arr, 1, 2, 1, 0.5, scale_range)
 
 
+class TestCameraSizeMaps:
+    """process() squashes only the tapped sub-grid of a camera-size map."""
+
+    @pytest.fixture(scope="class", params=KITTI_SHAPES, ids=lambda shape: "x".join(map(str, shape)))
+    def camera_map(self, request):
+        return blob_flow(np.random.default_rng(list(request.param)), *request.param)
+
+    @pytest.mark.parametrize("scale_range", [False, True])
+    def test_equals_stage_composition(self, camera_map, scale_range):
+        for grid in [(8, 8), (6, 10), (1, 1), (375, 8)]:
+            got = flowmap.process(camera_map, *grid, 2, 0.5, scale_range)
+            assert np.array_equal(got, composed(camera_map, *grid, 2, 0.5, scale_range)), grid
+
+    @pytest.mark.parametrize("scale_range", [False, True])
+    def test_within_ulps_of_dense_formula(self, camera_map, scale_range):
+        got = flowmap.process(camera_map, 8, 8, 2, 0.5, scale_range)
+        assert_within_ulps(got, dense_process(camera_map, 8, 8, 2, 0.5, scale_range))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_simulator_size_equals_dense_formula_exactly(self, seed):
+        # 32 -> 8 taps every source index, so the compact product is the dense one
+        rng = np.random.default_rng(seed)
+        arr = blob_flow(rng, 32, 32) if seed % 2 else rng.gamma(2.0, size=(32, 32))
+        for scale_range in (False, True):
+            got = flowmap.process(arr, 8, 8, 2, 0.5, scale_range)
+            assert np.array_equal(got, dense_process(arr, 8, 8, 2, 0.5, scale_range))
+
+
+class TestUntappedPixels:
+    """Pixels the resize never reads still count for validation and the
+    median, and for nothing else."""
+
+    SHAPE, GRID = (375, 1242), (8, 8)
+
+    def untapped(self):
+        """Two pixels in rows and columns the resize never reads."""
+        rows = np.setdiff1d(np.arange(self.SHAPE[0]), flowmap._taps(self.SHAPE[0], self.GRID[0])[0])
+        cols = np.setdiff1d(np.arange(self.SHAPE[1]), flowmap._taps(self.SHAPE[1], self.GRID[1])[0])
+        return (rows[0], cols[0]), (rows[-1], cols[-1])
+
+    def camera_map(self):
+        return blob_flow(np.random.default_rng(21), *self.SHAPE)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [(np.nan, 0.0), (np.inf, 0.0), (-np.inf, 0.0), (-1e308, 1e308)])
+    def test_bad_value_rejected(self, bad):
+        arr = self.camera_map()
+        for pixel, value in zip(self.untapped(), bad):
+            arr[pixel] = value
+        for check in (flowmap.check_flow_map, lambda a: flowmap.process(a, *self.GRID, 2, 0.5)):
+            with pytest.raises(ValueError, match="non-finite"):
+                check(arr)
+
+    @pytest.mark.parametrize("bad", [(np.nan, 0.0), (np.inf, 0.0), (-1e308, 1e308)])
+    def test_bad_value_rejected_by_trace_loading(self, tmp_path, bad):
+        arr = blob_flow(np.random.default_rng(22), 40, 40)
+        assert 0 not in flowmap._taps(40, 8)[0] and 39 not in flowmap._taps(40, 8)[0]
+        arr[0, 0], arr[39, 39] = bad
+        fileio.write_matrix_csv(tmp_path / "flow0.csv", arr)
+        fileio.save_grid_csv(tmp_path / "conf0.csv",
+                             ConfidenceGrid(np.zeros((8, 8, 1)), np.zeros((8, 8, 1, 4))))
+        trace = tmp_path / "trace.csv"
+        trace.write_text(",".join(fileio.TRACE_HEADER) + "\n0,stationary,0,flow0.csv,conf0.csv\n")
+        with pytest.raises(ValueError, match="flow0.csv: flow map contains non-finite"):
+            fileio.load_trace(trace)
+
+    def test_swapping_untapped_values_changes_nothing(self):
+        arr = self.camera_map()
+        (a, b) = self.untapped()
+        arr[a], arr[b] = 50.0, 0.25
+        base = flowmap.process(arr, *self.GRID, 2, 0.5)
+        arr[a], arr[b] = arr[b], arr[a]
+        assert np.array_equal(flowmap.process(arr, *self.GRID, 2, 0.5), base)
+        # control: the same swap on two tapped pixels moves the output
+        rows_used, cols_used = (flowmap._taps(n, g)[0] for n, g in zip(self.SHAPE, self.GRID))
+        a, b = (rows_used[0], cols_used[1]), (rows_used[-1], cols_used[-2])
+        arr[a], arr[b] = 50.0, 0.25
+        base = flowmap.process(arr, *self.GRID, 2, 0.5)
+        arr[a], arr[b] = arr[b], arr[a]
+        assert not np.array_equal(flowmap.process(arr, *self.GRID, 2, 0.5), base)
+
+
+class TestClipBounds:
+    """The clip bounds come from order statistics, not a full-map pass."""
+
+    @staticmethod
+    def assert_bounds_exact(arr, scale_range):
+        shifted = flowmap.shift_min(arr, scale_range)
+        median, lower, upper = flowmap._partition_median(shifted.copy())
+        # the full-map pass the bounds replace, with the same kernels
+        squashed = flowmap._squash(flowmap._abs_deviation(shifted, median))
+        extent = arr.max() - arr.min()
+        got = flowmap._squashed_range(median, lower, upper, extent, extent if scale_range else 0.0)
+        assert np.array_equal(got, [squashed.min(), squashed.max()])
+
+    @given(float_maps(max_side=9, elements=finite | dyadic | st.sampled_from([0.0, 1.0, 2.5])),
+           st.booleans())
+    @settings(max_examples=300)
+    def test_equal_full_map_min_max(self, arr, scale_range):
+        self.assert_bounds_exact(arr, scale_range)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("scale_range", [False, True])
+    @pytest.mark.parametrize("arr", [
+        [[2.5]], [[3.0, 3.0], [3.0, 3.0]], [[1.0, 2.0]], [[1.0, 1.0, 2.0]],
+        [[0.0, 1.7e308, 1.7e308, 1.7e308]],  # the middle values' sum overflows
+        [[5e-324, 0.0]],
+    ], ids=["1x1", "constant", "pair", "ties", "median overflow", "subnormal"])
+    def test_edge_cases(self, arr, scale_range):
+        self.assert_bounds_exact(np.array(arr), scale_range)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_camera_size_maps(self, seed):
+        arr = blob_flow(np.random.default_rng(seed), *KITTI_SHAPES[seed])
+        for scale_range in (False, True):
+            self.assert_bounds_exact(arr, scale_range)
+
+
 class TestStagesMatchPlainNumpy:
     """Each public stage equals its textbook numpy expression."""
 
@@ -374,42 +535,78 @@ class TestStagesMatchPlainNumpy:
 
     @given(float_maps(), st.integers(1, 6), st.integers(1, 6))
     def test_resize_bicubic(self, arr, gr, gc):
+        # exact oracle: the product over the tapped rows and columns only;
+        # the dense product sums the same taps plus exact zeros in another
+        # order, so it agrees to a few ulps
         rows, cols = arr.shape
+        got = flowmap.resize_bicubic(arr, gr, gc)
         if (gr, gc) == (rows, cols):
-            expected = arr
-        else:
-            build = flowmap._resize_weights.__wrapped__
-            expected = build(rows, gr) @ arr @ build(cols, gc).T
-        assert np.array_equal(flowmap.resize_bicubic(arr, gr, gc), expected)
+            assert np.array_equal(got, arr)
+            return
+        (rows_used, w_r), (cols_used, w_c) = flowmap._taps(rows, gr), flowmap._taps(cols, gc)
+        assert np.array_equal(got, w_r @ arr[np.ix_(rows_used, cols_used)] @ w_c.T)
+        dense = flowmap._resize_weights(rows, gr) @ arr @ flowmap._resize_weights(cols, gc).T
+        assert_within_ulps(got, dense, scale=np.abs(arr).max())
 
 
 class TestMedianHelper:
     @given(float_maps(max_side=9))
     def test_equals_np_median(self, arr):
         expected = np.median(arr)
-        got = flowmap._median_destructive(arr.copy())
+        got, lower, upper = flowmap._partition_median(arr.copy())
         assert got == expected and type(got) is type(expected)
+        assert lower <= got <= upper
+        assert np.all((arr <= lower) | (arr >= upper))
 
     @pytest.mark.parametrize("values", [[4.0], [2.0, 1.0], [3.0, 1.0, 2.0], [1.0, 1.0, 1.0, 5.0],
                                         [-0.0, 0.0], [7.0, -1.0, 7.0, 7.0, -1.0, 2.0]])
     def test_small_cases(self, values):
-        assert flowmap._median_destructive(np.array([values])) == np.median(values)
+        assert flowmap._partition_median(np.array([values]))[0] == np.median(values)
 
     def test_camera_size_map(self):
         arr = np.random.default_rng(5).normal(size=(375, 1242))
-        assert flowmap._median_destructive(arr.copy()) == np.median(arr)
+        assert flowmap._partition_median(arr.copy())[0] == np.median(arr)
 
 
 class TestResizeWeightCache:
-    @pytest.mark.parametrize("n_src,n_dst", [(32, 8), (1242, 8), (5, 5), (3, 11), (1, 4)])
+    """Each axis caches the source indices its taps read and the compact
+    weight columns on them."""
+
+    SIZES = [(32, 8), (1242, 8), (375, 8), (5, 5), (3, 11), (1, 4), (7, 1)]
+
+    @pytest.mark.parametrize("n_src,n_dst", SIZES[:2] + SIZES[3:])
     def test_read_only_and_equal_to_fresh(self, n_src, n_dst):
-        cached = flowmap._resize_weights(n_src, n_dst)
-        assert cached is flowmap._resize_weights(n_src, n_dst)
-        assert not cached.flags.writeable
-        with pytest.raises(ValueError):
-            cached[0, 0] = 1.0
-        fresh = flowmap._resize_weights.__wrapped__(n_src, n_dst)
-        assert np.array_equal(cached, fresh)
+        cached = flowmap._taps(n_src, n_dst)
+        assert cached is flowmap._taps(n_src, n_dst)
+        fresh = flowmap._taps.__wrapped__(n_src, n_dst)
+        for arr, new in zip(cached, fresh):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+            assert np.array_equal(arr, new)
 
     def test_cache_is_bounded(self):
-        assert flowmap._resize_weights.cache_info().maxsize is not None
+        assert flowmap._taps.cache_info().maxsize is not None
+
+    @pytest.mark.parametrize("n_src,n_dst", SIZES)
+    def test_compact_columns_are_dense_nonzero_columns(self, n_src, n_dst):
+        used, weights = flowmap._taps(n_src, n_dst)
+        dense = flowmap._resize_weights(n_src, n_dst)
+        assert np.array_equal(used, np.flatnonzero(np.any(dense != 0.0, axis=0)))
+        assert np.array_equal(weights, dense[:, used])
+        assert not np.any(np.delete(dense, used, axis=1))
+        assert np.all(np.count_nonzero(dense, axis=1) <= 4)
+        assert used.size <= 4 * n_dst
+
+    def test_downsample_by_whole_factor_taps_every_index(self):
+        # the simulator's 32x32 -> 8x8 maps: the compact matrix is the dense one
+        used, weights = flowmap._taps(32, 8)
+        assert np.array_equal(used, np.arange(32))
+        assert np.array_equal(weights, flowmap._resize_weights(32, 8))
+        assert flowmap._resize_plan((32, 32), 8, 8)[0] is None
+
+    def test_camera_map_taps_a_small_sub_grid(self):
+        index, w_r, w_c = flowmap._resize_plan((375, 1242), 8, 8)
+        assert w_r.shape == (8, 32) and w_c.shape == (8, 32)
+        assert np.zeros((375, 1242))[index].shape == (32, 32)
+        assert flowmap._resize_plan((375, 1242), 375, 1242) is None
