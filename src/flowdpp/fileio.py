@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .detection import ConfidenceGrid
-from .flowmap import check_flow_map
+from .flowmap import check_flow_map, flow_magnitude
 
 __all__ = [
     "FLO_MAGIC",
@@ -61,12 +61,6 @@ def write_flo(path, flow):
         f.write(np.ascontiguousarray(flow).tobytes())
 
 
-def flow_magnitude(flow_uv):
-    """Per-pixel magnitude sqrt(u^2 + v^2) of a (h, w, 2) flow field."""
-    flow_uv = np.asarray(flow_uv, dtype=np.float64)
-    return np.hypot(flow_uv[..., 0], flow_uv[..., 1])
-
-
 def read_matrix_csv(path):
     arr = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
     if arr.size == 0:
@@ -79,9 +73,11 @@ def write_matrix_csv(path, arr):
 
 
 def load_flow_map(path):
-    """Load a flow map from a .flo file (magnitude of (u, v)) or a matrix CSV."""
+    """Load a flow map: the (h, w, 2) float32 field of a .flo file, which
+    flowmap.process takes as its magnitude map flow_magnitude(field), or the
+    2-D matrix of a CSV file."""
     if str(path).endswith(".flo"):
-        return flow_magnitude(read_flo(path))
+        return read_flo(path)
     return read_matrix_csv(path)
 
 

@@ -20,6 +20,14 @@ squashed map's min and max, then come from the median's neighbours and the
 map's extremes, because the squashed deviation is monotone on either side
 of the median.  Tap indices and compact weights are cached per (source,
 target) size.
+
+process() and check_flow_map() also take an (h, w, 2) float32 flow field,
+as read_flo returns it, whose map is flow_magnitude(field): hypot(u, v) in
+float64.  process() then never builds that map.  It reads the map's
+minimum, maximum and middle values off the exact proxy u^2 + v^2 (see
+_field_stats) and runs hypot only on a few pixels around each of them and
+on the tapped sub-grid; the result equals process(flow_magnitude(field))
+bit for bit.
 """
 
 import functools
@@ -35,6 +43,7 @@ __all__ = [
     "vectorize_thresholds",
     "process",
     "check_flow_map",
+    "flow_magnitude",
 ]
 
 _NON_FINITE = "flow map contains non-finite values"
@@ -48,6 +57,18 @@ def _as_matrix(values):
     return arr
 
 
+def _as_input(values):
+    """A flow map as a 2-D float64 array, or an (h, w, 2) float32 field as
+    it is; checks only the shape and, for a field, the dtype."""
+    arr = np.asarray(values)
+    if arr.ndim == 3 and arr.shape[2] == 2 and arr.dtype == np.float32 and arr.size:
+        return arr
+    if arr.ndim == 3:
+        raise ValueError("flow map must be a non-empty 2-D matrix or (h, w, 2) float32 field, "
+                         f"got a {arr.dtype} array of shape {arr.shape}")
+    return _as_matrix(arr)
+
+
 def _as_flow_map(values):
     """Validate and return a flow map as a 2-D float64 array."""
     arr = _as_matrix(values)
@@ -56,8 +77,9 @@ def _as_flow_map(values):
     return arr
 
 
-def _checked_extent(values):
-    """(map, min, max - min), rejecting what the full pipeline cannot take.
+def _extent(arr):
+    """(min, max - min) of a 2-D float64 map, rejecting what the full
+    pipeline cannot take.
 
     max - min equals max(arr - min) exactly, because rounding a difference is
     monotone in its first operand.  min and max carry NaN, -inf shows in the
@@ -65,12 +87,11 @@ def _checked_extent(values):
     the range is also infinite when a finite map's shifted copy overflows
     float64.  Python floats overflow without a numpy warning.
     """
-    arr = _as_matrix(values)
     lo = float(arr.min())
     extent = float(arr.max()) - lo
     if not (math.isfinite(lo) and math.isfinite(extent)):
         raise ValueError(_NON_FINITE)
-    return arr, lo, extent
+    return lo, extent
 
 
 def _check_target(target_rows, target_cols):
@@ -95,6 +116,17 @@ def _shift(arr, out, lo, span):
     return out
 
 
+def _median(lower, upper, n):
+    """(median, lower, upper) of n values whose two middle values are lower
+    and upper (the same value for odd n); the median equals np.median's bit
+    for bit.  Their mean is taken in Python floats, which overflow to inf
+    without numpy's RuntimeWarning; process rejects an infinite median.
+    """
+    if n % 2:
+        return upper, upper, upper
+    return np.float64((float(lower) + float(upper)) / 2.0), lower, upper
+
+
 def _partition_median(buf):
     """(median, lower, upper) of a contiguous array, reordering its elements
     in place; median equals np.median bit for bit.
@@ -109,10 +141,7 @@ def _partition_median(buf):
     half = n // 2
     flat.partition(half)
     upper = flat[half]
-    if n % 2:
-        return upper, upper, upper
-    lower = flat[:half].max()
-    return (lower + upper) / 2.0, lower, upper
+    return _median(flat[:half].max() if n % 2 == 0 else upper, upper, n)
 
 
 def _abs_deviation(buf, median):
@@ -213,6 +242,86 @@ def _thresholds(flat, num_boxes, c_th):
     return np.concatenate((flat,) * num_boxes)
 
 
+# -- flow fields: order statistics of hypot(u, v) without the whole map -----
+
+# Relative half-width of the bracket around each needed order statistic of
+# the proxy u^2 + v^2; see _field_stats.
+_BRACKET = 2.0 ** -40
+
+
+def _hypot(uv):
+    """hypot(u, v) in float64 of an (..., 2) array of (u, v) pairs."""
+    return np.hypot(uv[..., 0], uv[..., 1], dtype=np.float64)
+
+
+def _field_squares(field):
+    """(pairs, s, min s, max s) of an (h, w, 2) float32 field: pairs is its
+    (n, 2) row-major view and s[i] = u^2 + v^2 of pixel i in float64.
+
+    Squares of float32 values are exact in float64, neither overflow nor
+    underflow, and are non-negative, so s carries a single rounding, and
+    NaN shows in its min and inf in its max: the field is rejected exactly
+    when its hypot map is non-finite.
+    """
+    pairs = field.reshape(-1, 2)
+    s = np.square(pairs[:, 0], dtype=np.float64)
+    s += np.square(pairs[:, 1], dtype=np.float64)
+    lo, hi = s.min(), s.max()
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(_NON_FINITE)
+    return pairs, s, lo, hi
+
+
+def _bracketed(pairs, inside, below, ranks):
+    """The values at these ranks (0-based, ascending) of the hypot map of a
+    field, given the pixels inside a bracket of s that holds them all and
+    the count of pixels below it.  hypot runs on the bracket's pixels only.
+    """
+    values = _hypot(pairs[np.flatnonzero(inside)])  # faster than a boolean index
+    offsets = [rank - below for rank in ranks]
+    # a rank outside its bracket means hypot broke the ordering assumed in
+    # _field_stats; fail rather than let a negative offset index from the end
+    if min(offsets) < 0 or max(offsets) >= values.size:
+        raise RuntimeError("a hypot order statistic fell outside its bracket")
+    values.partition(offsets)
+    return values[offsets]
+
+
+def _field_stats(field):
+    """(min, max, middle values) of flow_magnitude(field), computed from the
+    proxy s = u^2 + v^2 without building the map; middle holds the lower
+    and upper middle values for an even pixel count, the middle one for an
+    odd count.
+
+    s is within a relative 2^-53 of u^2 + v^2 and np.hypot within 1 ulp
+    (2^-52) of its true value, so two pixels whose s differ by more than a
+    relative 2^-50 or so are ordered the same way by hypot; _BRACKET leaves
+    a margin of about 1000 over that.  Let c be the rank-r value of s.  A
+    pixel with s below c (1 - _BRACKET) has a smaller hypot than each of
+    the n - r pixels with s >= c, one of which has a hypot at most the
+    map's rank-r value; so it ranks below that value, and likewise a pixel
+    above c (1 + _BRACKET) ranks above it.  The map's rank-r value is then
+    the rank (r - count below) hypot of the pixels in between, and one
+    bracket serves adjacent ranks.  One partition of a copy of s gives its
+    middle values; its minimum and maximum are already known.
+    """
+    pairs, s, s_min, s_max = _field_squares(field)
+    n = s.size
+    half = n // 2
+    part = s.copy()
+    part.partition(half)
+    upper = part[half]
+    lower = part[:half].max() if n % 2 == 0 else upper
+    (lo,) = _bracketed(pairs, s <= s_min * (1.0 + _BRACKET), 0, [0])
+    inside = s >= s_max * (1.0 - _BRACKET)
+    (hi,) = _bracketed(pairs, inside, n - np.count_nonzero(inside), [n - 1])
+    a, b = lower * (1.0 - _BRACKET), upper * (1.0 + _BRACKET)
+    # every s below a precedes the partition point
+    below = np.count_nonzero(part[:half] < a)
+    middle = _bracketed(pairs, (s >= a) & (s <= b), below, [half] if n % 2 else [half - 1, half])
+    return lo, hi, middle
+
+
 # -- public stages ----------------------------------------------------------
 
 def shift_min(values, scale_range=False):
@@ -223,7 +332,8 @@ def shift_min(values, scale_range=False):
     dividing by zero.  The default performs the shift only.  A map whose
     range overflows float64 is rejected like a non-finite one.
     """
-    arr, lo, extent = _checked_extent(values)
+    arr = _as_matrix(values)
+    lo, extent = _extent(arr)
     return _shift(arr, np.empty_like(arr), lo, extent if scale_range else 0.0)
 
 
@@ -272,6 +382,11 @@ def vectorize_thresholds(values, num_boxes, c_th):
     return _thresholds(arr.flatten(order="C"), num_boxes, c_th)
 
 
+def flow_magnitude(flow_uv):
+    """Per-pixel magnitude hypot(u, v) in float64 of a (h, w, 2) flow field."""
+    return _hypot(np.asarray(flow_uv, dtype=np.float64))
+
+
 def process(values, grid_rows, grid_cols, num_boxes, c_th, scale_range=False):
     """Full pipeline from raw flow map to per-cell threshold vector.
 
@@ -300,22 +415,53 @@ def process(values, grid_rows, grid_cols, num_boxes, c_th, scale_range=False):
     partition's middle values, between which no element lies) and the
     squashed maximum at the shifted map's ends, 0 and its maximum.
 
-    The result equals the composition of the public stages bit for bit, and
-    the input is never modified.  Runtime is one partition of the map plus
+    values may also be an (h, w, 2) float32 flow field, standing for the
+    map flow_magnitude(values).  When the resize taps a sub-grid, that map
+    is never built: its min, max and middle values come from the proxy
+    u^2 + v^2, exact but for one rounding, bracketed by a relative 2^-40
+    and resolved by hypot on the few pixels inside each bracket (see
+    _field_stats; this assumes np.hypot is within 1 ulp), and the shift,
+    applied to those order statistics as scalars, commutes with them.
+    hypot then runs once more, on the tapped sub-grid.  When every pixel
+    is tapped, the map is built and takes the path above.
+
+    A map whose median overflows float64, such as [[0, 1.7e308, 1.7e308,
+    1.7e308]], is rejected as non-finite, as the stages reject it.
+
+    The result equals the composition of the public stages bit for bit (on
+    flow_magnitude(values) for a field), and the input is never modified.
+    Runtime is one partition of the map (of the proxy for a field) plus
     linear passes.
     """
-    arr, lo, extent = _checked_extent(values)
+    arr = _as_input(values)
     _check_target(grid_rows, grid_cols)
     _check_thresholds(num_boxes, c_th)
-    span = extent if scale_range else 0.0
-    buf = _shift(arr, np.empty_like(arr), lo, span)
-    median, lower, upper = _partition_median(buf)
-    plan = _resize_plan(arr.shape, grid_rows, grid_cols)
-    if plan is None or plan[0] is None:  # every pixel is tapped: refill the buffer
-        tapped = _shift(arr, buf, lo, span)
+    plan = _resize_plan(arr.shape[:2], grid_rows, grid_cols)
+    index = None if plan is None else plan[0]
+    if arr.ndim == 3 and index is None:  # every pixel is tapped: build the map
+        arr = _hypot(arr)
+    if arr.ndim == 2:
+        lo, extent = _extent(arr)
+        span = extent if scale_range else 0.0
+        buf = _shift(arr, np.empty_like(arr), lo, span)
+        median, lower, upper = _partition_median(buf)
+        if index is None:  # refill the buffer
+            tapped = _shift(arr, buf, lo, span)
+        else:
+            tapped = arr[index]
+            _shift(tapped, tapped, lo, span)
     else:
-        tapped = arr[plan[0]]
+        low, high, middle = _field_stats(arr)
+        lo = float(low)
+        extent = float(high) - lo
+        span = extent if scale_range else 0.0
+        # the shift is monotone, so it maps order statistics to order statistics
+        middle = _shift(middle, middle, lo, span)
+        median, lower, upper = _median(middle[0], middle[-1], arr.shape[0] * arr.shape[1])
+        tapped = _hypot(arr[index])
         _shift(tapped, tapped, lo, span)
+    if not math.isfinite(median):  # the middle values' sum overflows
+        raise ValueError(_NON_FINITE)
     _squash(_abs_deviation(tapped, median))
     if plan is None:
         resized = tapped
@@ -332,11 +478,24 @@ def process(values, grid_rows, grid_cols, num_boxes, c_th, scale_range=False):
 
 
 def check_flow_map(values):
-    """Validate a flow map exactly as process does and return it as a 2-D
-    float64 array.
+    """Validate a flow map exactly as process does and return it: a 2-D map
+    as a float64 array, an (h, w, 2) float32 field as it is.
 
-    Rejects an empty or non-2-D map, a non-finite value, and a finite map
-    whose range max - min overflows float64.  Lets a caller that may skip
-    process on some frames, such as trace replay, reject such maps up front.
+    Rejects an empty map, an array that is neither a 2-D map nor such a
+    field, a non-finite value (in u or v for a field), a finite map whose
+    range max - min overflows float64, and one whose shifted median does
+    (which process rejects unless scale_range is set).  Lets a caller that
+    may skip process on some frames, such as trace replay, reject such maps
+    up front.
     """
-    return _checked_extent(values)[0]
+    arr = _as_input(values)
+    if arr.ndim == 3:  # a field's magnitudes stay far below half the float64 maximum
+        _field_squares(arr)
+        return arr
+    lo, extent = _extent(arr)
+    # only shifted values above half the float64 maximum can sum past it
+    if extent > np.finfo(np.float64).max / 2.0:
+        median = _partition_median(_shift(arr, np.empty_like(arr), lo, 0.0))[0]
+        if not math.isfinite(median):
+            raise ValueError(_NON_FINITE)
+    return arr

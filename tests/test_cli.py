@@ -119,10 +119,17 @@ class TestMatrixCsv:
         np.testing.assert_array_equal(fileio.read_matrix_csv(path), arr)
 
     def test_load_flow_map_dispatch(self, tmp_path):
+        # a .flo file loads as its float32 field, which process takes as
+        # its magnitude map; a CSV loads as a float64 matrix
         flow = np.zeros((2, 2, 2), dtype=np.float32)
         flow[..., 0] = 1.5
         fileio.write_flo(tmp_path / "f.flo", flow)
-        np.testing.assert_allclose(fileio.load_flow_map(tmp_path / "f.flo"), 1.5)
+        field = fileio.load_flow_map(tmp_path / "f.flo")
+        assert field.dtype == np.float32 and np.array_equal(field, flow)
+        np.testing.assert_allclose(fileio.flow_magnitude(field), 1.5)
+        fileio.write_matrix_csv(tmp_path / "f.csv", fileio.flow_magnitude(field))
+        matrix = fileio.load_flow_map(tmp_path / "f.csv")
+        assert matrix.dtype == np.float64 and np.array_equal(matrix, np.full((2, 2), 1.5))
 
 
 class TestGridCsv:

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from flowdpp import fileio, flowmap
+from flowdpp import fileio, flowmap, sim
+from flowdpp.policies import PolicyKind, make_policy
 from flowdpp.detection import ConfidenceGrid
 
 
@@ -365,14 +367,19 @@ class TestProcessDifferential:
     @settings(max_examples=200)
     def test_check_flow_map_rejects_what_stages_reject(self, arr):
         # one min and one max pass stand in for the elementwise isfinite pass
-        # plus the range check
-        ok = bool(np.all(np.isfinite(arr))) and bool(np.isfinite(arr.max() - arr.min()))
+        # plus the range check; a shifted median that overflows is rejected
+        # by the later stages
+        range_ok = bool(np.all(np.isfinite(arr))) and bool(np.isfinite(arr.max() - arr.min()))
+        ok = range_ok and bool(np.isfinite(np.median(arr - arr.min())))
         if ok:
             assert np.array_equal(flowmap.check_flow_map(arr), arr)
             flowmap.process(arr, 2, 2, 1, 0.5)
         else:
-            for check in (flowmap.check_flow_map, flowmap.shift_min,
-                          lambda a: flowmap.process(a, 2, 2, 1, 0.5)):
+            checks = [flowmap.check_flow_map, lambda a: flowmap.process(a, 2, 2, 1, 0.5),
+                      lambda a: composed(a, 2, 2, 1, 0.5)]
+            if not range_ok:
+                checks.append(flowmap.shift_min)
+            for check in checks:
                 with pytest.raises(ValueError, match="non-finite"):
                     check(arr)
 
@@ -472,6 +479,269 @@ class TestUntappedPixels:
         base = flowmap.process(arr, *self.GRID, 2, 0.5)
         arr[a], arr[b] = arr[b], arr[a]
         assert not np.array_equal(flowmap.process(arr, *self.GRID, 2, 0.5), base)
+
+
+# float32 (u, v) components: ties, signed zeros, and magnitudes across the
+# whole float32 range, subnormals included
+field_values = (
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 3.0, 4.0])
+    | st.floats(-8.0, 8.0, width=32)
+    | st.floats(width=32, allow_nan=False, allow_infinity=False)
+)
+
+
+def flow_fields(max_side=12, elements=field_values):
+    shapes = st.tuples(st.integers(1, max_side), st.integers(1, max_side), st.just(2))
+    return hnp.arrays(np.float32, shapes, elements=elements)
+
+
+def blob_field(rng, rows, cols, blobs=3):
+    """A float32 (u, v) field: an expansion about a focus point plus
+    Gaussian bumps of independent motion."""
+    y, x = np.mgrid[0:rows, 0:cols].astype(np.float64)
+    k = rng.uniform(0.002, 0.006)
+    uv = np.stack([k * (x - rng.uniform(0.4, 0.6) * cols), k * (y - rng.uniform(0.4, 0.6) * rows)], -1)
+    for _ in range(blobs):
+        r = rng.uniform(0.02, 0.08) * cols
+        g = np.exp(-((y - rng.uniform(0, rows)) ** 2 + (x - rng.uniform(0, cols)) ** 2) / (2 * r * r))
+        uv += g[..., None] * rng.uniform(-12.0, 12.0, 2)
+    return uv.astype(np.float32)
+
+
+def assert_field_matches_map(field, grid, scale_range, k=2, c_th=0.5):
+    got = flowmap.process(field, *grid, k, c_th, scale_range)
+    expected = flowmap.process(flowmap.flow_magnitude(field), *grid, k, c_th, scale_range)
+    assert np.array_equal(got, expected), (field.shape, grid, scale_range)
+
+
+def sqrt_mismatch_field(rows=3, cols=5):
+    """A field of pixels on which sqrt(u^2 + v^2) rounds away from hypot(u, v),
+    so no proxy root can stand in for the map's order statistics."""
+    uv = np.random.default_rng(30).normal(size=(4000, 2)).astype(np.float32)
+    u, v = uv[:, 0].astype(np.float64), uv[:, 1].astype(np.float64)
+    differ = np.flatnonzero(np.sqrt(u * u + v * v) != np.hypot(u, v))
+    return uv[differ[:rows * cols]].reshape(rows, cols, 2)
+
+
+FIXED_FIELDS = {
+    "1x1": np.array([[[3.0, -4.0]]], np.float32),
+    "zeros": np.zeros((9, 14, 2), np.float32),
+    "signed zeros": np.array([[[-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]]], np.float32),
+    "constant": np.full((7, 11, 2), -1.25, np.float32),
+    "ties": np.random.default_rng(31).integers(-2, 3, size=(10, 13, 2)).astype(np.float32),
+    "odd count": np.random.default_rng(32).normal(size=(9, 13, 2)).astype(np.float32),
+    "even count": np.random.default_rng(33).normal(size=(10, 14, 2)).astype(np.float32),
+    "mostly zero": np.where(np.random.default_rng(34).random((12, 15, 1)) < 0.7, 0.0,
+                            np.random.default_rng(35).normal(size=(12, 15, 2))).astype(np.float32),
+    "1e-30 to 1e30": (np.random.default_rng(36).normal(size=(11, 16, 2))
+                      * 10.0 ** np.random.default_rng(37).uniform(-30, 30, (11, 16, 1))
+                      ).astype(np.float32),
+    "sqrt rounds differently": sqrt_mismatch_field(),
+    "float32 extremes": np.array([[[3.4e38, -3.4e38], [1e-45, 0.0]], [[-1e-45, 1e-45], [1.0, 2.0]]],
+                                 np.float32),
+}
+
+
+class TestFlowFields:
+    """process() on an (h, w, 2) float32 field equals process() on its
+    magnitude map, bit for bit, without building that map."""
+
+    @given(flow_fields(), st.integers(1, 9), st.integers(1, 9), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_process_of_magnitude(self, field, gr, gc, scale_range):
+        assert_field_matches_map(field, (gr, gc), scale_range)
+
+    @staticmethod
+    def assert_stats_exact(field):
+        magnitude = np.sort(flowmap.flow_magnitude(field), axis=None)
+        n = magnitude.size
+        lo, hi, middle = flowmap._field_stats(field)
+        assert lo == magnitude[0] and hi == magnitude[-1]
+        assert np.array_equal(middle, magnitude[[n // 2] if n % 2 else [n // 2 - 1, n // 2]])
+
+    @given(flow_fields(max_side=20))
+    @settings(max_examples=300, deadline=None)
+    def test_order_statistics_equal_the_maps(self, field):
+        self.assert_stats_exact(field)
+
+    def test_order_statistics_where_sqrt_rounds_differently(self):
+        for rows, cols in [(1, 1), (1, 2), (3, 5), (6, 9)]:
+            field = sqrt_mismatch_field(rows, cols)
+            assert field.shape == (rows, cols, 2)
+            self.assert_stats_exact(field)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_brackets_absorb_a_hypot_one_ulp_off(self, monkeypatch, seed):
+        # correctly rounded hypot never reverses the order of s; one that is
+        # 1 ulp off can, on pixels whose s are a few ulps apart: u = 2^23 + 1
+        # and v on a 2^-15 grid near 256 moves s by about 1 ulp per step
+        exact = flowmap._hypot
+
+        def one_ulp_off(uv):
+            h = exact(uv)
+            up = np.asarray(uv[..., 1], np.float32).view(np.uint32) & 1 == 1
+            return np.where(up, np.nextafter(h, np.inf), np.nextafter(h, 0.0))
+
+        monkeypatch.setattr(flowmap, "_hypot", one_ulp_off)
+        v = 256.0 + np.random.default_rng(seed).integers(0, 64, size=(15, 20)) * 2.0 ** -15
+        field = np.stack([np.full(v.shape, 2.0 ** 23 + 1), v], -1).astype(np.float32)
+        self.assert_stats_exact(field)
+        for scale_range in (False, True):
+            assert_field_matches_map(field, (4, 4), scale_range)
+
+    @given(flow_fields(elements=st.sampled_from([0.0, -0.0, 1.0, -1.0, 3.0, 4.0])),
+           st.integers(1, 4), st.integers(1, 4), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_process_of_magnitude_with_ties(self, field, gr, gc, scale_range):
+        assert_field_matches_map(field, (gr, gc), scale_range)
+
+    @given(flow_fields(), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_fully_tapped_fields(self, field, scale_range):
+        # a grid of the field's own size, and a halving downsample, which
+        # taps every index
+        rows, cols = field.shape[:2]
+        assert_field_matches_map(field, (rows, cols), scale_range)
+        tiled = np.tile(field, (2, 2, 1))
+        assert flowmap._resize_plan(tiled.shape[:2], rows, cols)[0] is None
+        assert_field_matches_map(tiled, (rows, cols), scale_range)
+
+    @pytest.mark.parametrize("name", sorted(FIXED_FIELDS))
+    @pytest.mark.parametrize("scale_range", [False, True])
+    def test_fixed_cases(self, name, scale_range):
+        field = FIXED_FIELDS[name]
+        for grid in [(1, 1), (2, 3), (8, 8), (6, 10), field.shape[:2]]:
+            assert_field_matches_map(field, grid, scale_range)
+
+    @pytest.mark.parametrize("shape", KITTI_SHAPES, ids=lambda shape: "x".join(map(str, shape)))
+    def test_camera_size_fields(self, shape):
+        field = blob_field(np.random.default_rng(list(shape)), *shape)
+        self.assert_stats_exact(field)
+        for grid in [(8, 8), (6, 10), (1, 1)]:
+            for scale_range in (False, True):
+                assert_field_matches_map(field, grid, scale_range)
+
+    def test_layouts_and_no_mutation(self):
+        base = np.random.default_rng(38).normal(size=(24, 30, 2)).astype(np.float32)
+        for field in (base, np.asfortranarray(base), base[::2, ::-3], base.copy()[:, :, ::-1]):
+            before = field.copy()
+            for grid in [(4, 5), field.shape[:2]]:
+                assert_field_matches_map(field, grid, False)
+            assert np.array_equal(field, before)
+
+    def test_check_flow_map_returns_field_as_is(self):
+        field = FIXED_FIELDS["odd count"]
+        assert flowmap.check_flow_map(field) is field
+
+    @pytest.mark.parametrize("values", [
+        np.zeros((4, 4, 2)),  # float64: its squares are not exact
+        np.zeros((4, 4, 2), np.float16),
+        np.zeros((4, 4, 3), np.float32),
+        np.zeros((0, 4, 2), np.float32),
+        np.zeros((2, 4, 4, 2), np.float32),
+    ], ids=["float64", "float16", "three components", "empty", "4-D"])
+    def test_other_arrays_rejected(self, values):
+        for check in (flowmap.check_flow_map, lambda a: flowmap.process(a, 2, 2, 1, 0.5)):
+            with pytest.raises(ValueError, match="2-D"):
+                check(values)
+
+    SHAPE, GRID = (60, 90), (8, 8)
+
+    def untapped_pixel(self):
+        rows = np.setdiff1d(np.arange(self.SHAPE[0]), flowmap._taps(self.SHAPE[0], self.GRID[0])[0])
+        cols = np.setdiff1d(np.arange(self.SHAPE[1]), flowmap._taps(self.SHAPE[1], self.GRID[1])[0])
+        return rows[0], cols[-1]
+
+    @pytest.mark.parametrize("component", [0, 1])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_untapped_component_rejected(self, tmp_path, component, bad):
+        field = blob_field(np.random.default_rng(39), *self.SHAPE)
+        field[self.untapped_pixel() + (component,)] = bad
+        for check in (flowmap.check_flow_map,
+                      lambda a: flowmap.process(a, *self.GRID, 2, 0.5),
+                      lambda a: flowmap.process(a, *self.GRID, 2, 0.5, scale_range=True)):
+            with pytest.raises(ValueError, match="non-finite"):
+                check(field)
+        fileio.write_flo(tmp_path / "flow0.flo", field)
+        fileio.save_grid_csv(tmp_path / "conf0.csv",
+                             ConfidenceGrid(np.zeros((8, 8, 1)), np.zeros((8, 8, 1, 4))))
+        trace = tmp_path / "trace.csv"
+        trace.write_text(",".join(fileio.TRACE_HEADER) + "\n0,stationary,0,flow0.flo,conf0.csv\n")
+        with pytest.raises(ValueError, match="flow0.flo: flow map contains non-finite"):
+            fileio.load_trace(trace)
+
+    def test_flo_trace_replays_like_magnitude_trace(self, tmp_path):
+        """A trace of .flo fields loads the fields and replays exactly like
+        the same trace of their magnitude maps as CSV files."""
+        sc = sim.ScenarioConfig(horizon=30, seed=5, flow_rows=40, flow_cols=50, grid_rows=4,
+                                grid_cols=5, mean_objects_stationary=0.8)
+        gen = sim.FrameGenerator(sc)
+        frames = [gen.next(t) for t in range(sc.horizon)]
+        traces = {}
+        for kind in ("flo", "csv"):
+            rows = [",".join(fileio.TRACE_HEADER)]
+            for frame in frames:
+                field = blob_field(np.random.default_rng([40, frame.t]), sc.flow_rows, sc.flow_cols)
+                if kind == "flo":
+                    fileio.write_flo(tmp_path / f"flow{frame.t}.flo", field)
+                else:
+                    fileio.write_matrix_csv(tmp_path / f"flow{frame.t}.csv", flowmap.flow_magnitude(field))
+                fileio.save_grid_csv(tmp_path / f"conf{frame.t}.csv", frame.grid)
+                rows.append(f"{frame.t},{frame.regime},{frame.num_objects},flow{frame.t}.{kind},conf{frame.t}.csv")
+            (tmp_path / f"{kind}.csv").write_text("\n".join(rows) + "\n")
+            traces[kind] = fileio.load_trace(tmp_path / f"{kind}.csv")
+        assert all(f.flow.dtype == np.float32 and f.flow.ndim == 3 for f in traces["flo"])
+        results = [sim.run(sc, make_policy(PolicyKind.DPP), frames=traces[kind]) for kind in ("flo", "csv")]
+        assert {alpha.value for alpha in results[0].alpha} == {"H", "T"}
+        assert results[0].alpha == results[1].alpha
+        assert np.array_equal(results[0].q, results[1].q)
+        assert np.array_equal(results[0].perf, results[1].perf)
+
+    def test_rank_outside_its_bracket_raises(self):
+        # hypot breaking the ordering assumption must fail loudly, never
+        # read a value from the far end of the bracket
+        pairs = np.array([[3.0, 4.0], [1.0, 0.0]], np.float32)
+        inside = np.array([True, False])
+        assert flowmap._bracketed(pairs, inside, 1, [1]).tolist() == [5.0]
+        for below, ranks in [(2, [1]), (0, [1]), (1, [0, 1])]:
+            with pytest.raises(RuntimeError, match="bracket"):
+                flowmap._bracketed(pairs, inside, below, ranks)
+
+
+class TestMedianOverflow:
+    """A finite map whose two middle values sum past the float64 maximum."""
+
+    MAP = np.array([[0.0, 1.7e308, 1.7e308, 1.7e308]])
+
+    @pytest.mark.filterwarnings("error")
+    def test_rejected_without_a_warning(self):
+        median = flowmap._partition_median(flowmap.shift_min(self.MAP))[0]
+        assert median == np.inf and type(median) is np.float64
+        for check in (flowmap.check_flow_map, lambda a: flowmap.process(a, 1, 2, 1, 0.5),
+                      lambda a: flowmap.process(a, 1, 4, 1, 0.5)):
+            with pytest.raises(ValueError, match="non-finite"):
+                check(self.MAP)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_agrees_with_the_stages(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            composed(self.MAP, 1, 2, 1, 0.5)
+        # normalizing by the range keeps the median finite: the map passes
+        got = flowmap.process(self.MAP, 1, 2, 1, 0.5, scale_range=True)
+        assert np.array_equal(got, composed(self.MAP, 1, 2, 1, 0.5, scale_range=True))
+
+    @pytest.mark.filterwarnings("error")
+    def test_largest_finite_medians_unchanged(self):
+        # the mean of the middle values, taken in Python floats, equals
+        # np.median's right up to the float64 maximum
+        top = np.finfo(np.float64).max
+        for values in ([0.0, top / 2, top / 2, top], [1.0, 3.0, 5e307, 8e307, 9e307, 1e308]):
+            arr = np.array([values])
+            median = flowmap._partition_median(arr.copy())[0]
+            assert median == np.median(arr) and np.isfinite(median)
+            for grid in [(1, 2), arr.shape]:
+                assert np.array_equal(flowmap.check_flow_map(arr), arr)
+                assert np.array_equal(flowmap.process(arr, *grid, 1, 0.5), composed(arr, *grid, 1, 0.5))
 
 
 class TestClipBounds:
