@@ -333,6 +333,16 @@ class TestProcessDifferential:
         got = flowmap.process(arr, rows, cols, k, 0.7, scale_range)
         assert np.array_equal(got, composed(arr, rows, cols, k, 0.7, scale_range))
 
+    @given(float_maps(), st.integers(1, 3))
+    @settings(max_examples=100)
+    def test_equals_composition_when_every_pixel_is_tapped(self, arr, k):
+        # a halving downsample taps every index, so the resize reads the whole map
+        rows, cols = arr.shape
+        tiled = np.tile(arr, (2, 2))
+        assert flowmap._resize_plan(tiled.shape, rows, cols)[0] is None
+        got = flowmap.process(tiled, rows, cols, k, 0.5)
+        assert np.array_equal(got, composed(tiled, rows, cols, k, 0.5))
+
     @pytest.mark.parametrize("name", sorted(FIXED_MAPS))
     @pytest.mark.parametrize("scale_range", [False, True])
     def test_fixed_cases(self, name, scale_range):
