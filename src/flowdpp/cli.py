@@ -96,14 +96,14 @@ def cmd_process_flow(args):
 def _load_run_config(args):
     try:
         cfg = load_config(args.config)
-    except OSError as exc:
-        raise InputError(str(exc)) from exc
-    except ConfigError as exc:
+    except (OSError, ConfigError) as exc:
         raise InputError(str(exc)) from exc
     if args.seed is not None:
-        cfg = dataclasses.replace(
-            cfg, scenario=dataclasses.replace(cfg.scenario, seed=args.seed)
-        )
+        try:
+            scenario = dataclasses.replace(cfg.scenario, seed=args.seed)
+        except ValueError as exc:
+            raise InputError(f"--seed: {exc}") from exc
+        cfg = dataclasses.replace(cfg, scenario=scenario)
     if args.out is not None:
         cfg = dataclasses.replace(cfg, out_dir=args.out)
     return cfg

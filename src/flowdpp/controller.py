@@ -12,7 +12,8 @@ for large Q it maximizes service.
 """
 
 import enum
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 __all__ = [
     "ModelChoice",
@@ -57,11 +58,20 @@ class ControllerConfig:
     tie_break: ModelChoice = ModelChoice.H
 
     def __post_init__(self):
-        if self.v < 0:
+        _check_finite(self)
+        if not self.v >= 0:
             raise ValueError("v must be >= 0")
         for name in ("w1", "w2", "w_fps", "w_p"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")
+
+
+def _check_finite(config):
+    """Reject a config dataclass that has a NaN or infinite float field."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)

@@ -132,28 +132,25 @@ def save_grid_csv(path, grid):
 
 
 def load_grid_csv(path):
-    entries = []
+    """Load a confidence grid; each (i, j, k) cell entry must appear once."""
+    entries = {}
     with open(path, newline="") as f:
         for line, row in _csv_rows(f, path, GRID_HEADER):
-            entries.append(
-                (
-                    _count(path, line, row, "i"),
-                    _count(path, line, row, "j"),
-                    _count(path, line, row, "k"),
-                    _number(path, line, row, "conf"),
-                    tuple(_number(path, line, row, key) for key in ("cx", "cy", "w", "h")),
-                )
+            key = tuple(_count(path, line, row, name) for name in ("i", "j", "k"))
+            if key in entries:
+                raise ValueError(f"{path}: line {line}: duplicate entry i, j, k = {key}")
+            entries[key] = (
+                _number(path, line, row, "conf"),
+                tuple(_number(path, line, row, name) for name in ("cx", "cy", "w", "h")),
             )
     if not entries:
         raise ValueError(f"{path}: no grid entries")
-    rows = max(e[0] for e in entries) + 1
-    cols = max(e[1] for e in entries) + 1
-    k = max(e[2] for e in entries) + 1
-    conf = np.zeros((rows, cols, k))
-    boxes = np.zeros((rows, cols, k, 4))
-    for i, j, b, c, box in entries:
-        conf[i, j, b] = c
-        boxes[i, j, b] = box
+    shape = tuple(max(key[axis] for key in entries) + 1 for axis in range(3))
+    conf = np.zeros(shape)
+    boxes = np.zeros(shape + (4,))
+    for key, (c, box) in entries.items():
+        conf[key] = c
+        boxes[key] = box
     return ConfidenceGrid(conf, boxes)
 
 

@@ -8,26 +8,17 @@ c_th / (1 + exp(2 f)).  Larger flow deviation gives a lower threshold, so
 cells with motion admit lower-confidence boxes.
 
 The public stage functions are pure: each validates its input and returns a
-new array.  process() validates the map and its parameters once, then runs
-the same private kernels in place.  Only three steps touch the whole map:
-the range and finiteness check, the shift into one map-size scratch buffer,
-and one partition of that buffer for the median (plus the maximum of its
-lower half), which equals np.median bit for bit.  The bicubic resize reads
-at most 4 source rows per grid row and 4 source columns per grid column, so
-deviation and squash run only on that sub-grid of taps; a 375x1242 camera
-map resized to 8x8 squashes 32x32 pixels.  The resize clip bounds, the
-squashed map's min and max, then come from the median's neighbours and the
-map's extremes, because the squashed deviation is monotone on either side
-of the median.  Tap indices and compact weights are cached per (source,
-target) size.
+new array.  process() runs the same private kernels from four order
+statistics of the map (its min, max and two middle values) and touches the
+whole map only to find them; a 375x1242 camera map resized to 8x8 shifts
+and squashes the 32x32 pixels the bicubic resize reads.  Tap indices and
+compact weights are cached per (source, target) size.
 
 process() and check_flow_map() also take an (h, w, 2) float32 flow field,
 as read_flo returns it, whose map is flow_magnitude(field): hypot(u, v) in
-float64.  process() then never builds that map.  It reads the map's
-minimum, maximum and middle values off the exact proxy u^2 + v^2 (see
-_field_stats) and runs hypot only on a few pixels around each of them and
-on the tapped sub-grid; the result equals process(flow_magnitude(field))
-bit for bit.
+float64.  process() never builds that map; it reads the same four order
+statistics off the proxy u^2 + v^2 (see _field_stats), and the result
+equals process(flow_magnitude(field)) bit for bit.
 """
 
 import functools
@@ -78,8 +69,8 @@ def _as_flow_map(values):
 
 
 def _extent(arr):
-    """(min, max - min) of a 2-D float64 map, rejecting what the full
-    pipeline cannot take.
+    """(min, max) of a 2-D float64 map as Python floats, rejecting what the
+    full pipeline cannot take.
 
     max - min equals max(arr - min) exactly, because rounding a difference is
     monotone in its first operand.  min and max carry NaN, -inf shows in the
@@ -87,11 +78,10 @@ def _extent(arr):
     the range is also infinite when a finite map's shifted copy overflows
     float64.  Python floats overflow without a numpy warning.
     """
-    lo = float(arr.min())
-    extent = float(arr.max()) - lo
-    if not (math.isfinite(lo) and math.isfinite(extent)):
+    lo, hi = float(arr.min()), float(arr.max())
+    if not (math.isfinite(lo) and math.isfinite(hi - lo)):
         raise ValueError(_NON_FINITE)
-    return lo, extent
+    return lo, hi
 
 
 def _check_target(target_rows, target_cols):
@@ -108,40 +98,44 @@ def _check_thresholds(num_boxes, c_th):
 
 # -- kernels: arithmetic shared by the public stages and process ------------
 
-def _shift(arr, out, lo, span):
-    """out = (arr - lo) / span, skipping the division unless span > 0."""
-    np.subtract(arr, lo, out=out)
-    if span > 0.0:
-        out /= span
-    return out
-
-
 def _median(lower, upper, n):
-    """(median, lower, upper) of n values whose two middle values are lower
-    and upper (the same value for odd n); the median equals np.median's bit
-    for bit.  Their mean is taken in Python floats, which overflow to inf
-    without numpy's RuntimeWarning; process rejects an infinite median.
+    """The median of n values whose two middle values are lower and upper
+    (the same value for odd n); it equals np.median's bit for bit.  Their
+    mean is taken in Python floats, which overflow to inf without numpy's
+    RuntimeWarning; _shifted rejects an infinite median.
     """
     if n % 2:
-        return upper, upper, upper
-    return np.float64((float(lower) + float(upper)) / 2.0), lower, upper
+        return upper
+    return np.float64((float(lower) + float(upper)) / 2.0)
 
 
-def _partition_median(buf):
-    """(median, lower, upper) of a contiguous array, reordering its elements
-    in place; median equals np.median bit for bit.
+def _middle(flat):
+    """(lower, upper), the two middle values of a 1-D array (the same value
+    for odd size), reordering its elements in place.
 
     One partition at n // 2 puts the upper middle value there and only
     smaller-or-equal values before it; for even n the lower middle value is
-    the maximum of that lower half, for odd n it is the upper one.  Every
-    element is <= lower or >= upper.
+    the maximum of that lower half.  Every element is <= lower or >= upper.
     """
-    flat = buf.ravel(order="K")
     n = flat.size
     half = n // 2
     flat.partition(half)
     upper = flat[half]
-    return _median(flat[:half].max() if n % 2 == 0 else upper, upper, n)
+    return (flat[:half].max() if n % 2 == 0 else upper), upper
+
+
+def _shifted(lo, hi, lower, upper, n):
+    """(median, lower, upper, max) of a map of n values shifted to its
+    minimum, given the map's min lo, max hi and middle values lower and
+    upper: the shift is monotone, so it maps order statistics to order
+    statistics.  A median that overflows float64 is rejected.
+    """
+    lo = float(lo)
+    lower, upper = lower - lo, upper - lo
+    median = _median(lower, upper, n)
+    if not math.isfinite(median):  # the middle values' sum overflows
+        raise ValueError(_NON_FINITE)
+    return median, lower, upper, float(hi) - lo
 
 
 def _abs_deviation(buf, median):
@@ -157,19 +151,18 @@ def _squash(buf):
     return np.divide(1.0, buf, out=buf)
 
 
-def _squashed_range(median, lower, upper, extent, span):
-    """[min, max] of the squashed deviations of a map shifted by _shift with
-    this extent and span, given _partition_median's (median, lower, upper)
-    of the shifted map.
+def _squashed_range(median, lower, upper, extent):
+    """[min, max] of the squashed deviations of a map shifted to its minimum,
+    given the shifted map's median, middle values lower and upper, and
+    maximum, extent.
 
     fl(s - median) is monotone in s, so |s - median| falls to the median
     and rises after it, and squash is monotone: the minimum sits at lower
     or upper, between which no element lies, and the maximum at the
-    shifted map's ends, 0 and extent / span (extent when span is 0).
+    shifted map's ends, 0 and extent.
     """
-    top = extent / span if span > 0.0 else extent
     near = min(abs(lower - median), abs(upper - median))
-    far = max(abs(0.0 - median), abs(top - median))
+    far = max(abs(0.0 - median), abs(extent - median))
     return _squash(np.array([near, far]))
 
 
@@ -288,10 +281,9 @@ def _bracketed(pairs, inside, below, ranks):
 
 
 def _field_stats(field):
-    """(min, max, middle values) of flow_magnitude(field), computed from the
-    proxy s = u^2 + v^2 without building the map; middle holds the lower
-    and upper middle values for an even pixel count, the middle one for an
-    odd count.
+    """(min, max, lower, upper) of flow_magnitude(field), lower and upper
+    being its two middle values (the same value for an odd pixel count),
+    computed from the proxy s = u^2 + v^2 without building the map.
 
     s is within a relative 2^-53 of u^2 + v^2 and np.hypot within 1 ulp
     (2^-52) of its true value, so two pixels whose s differ by more than a
@@ -309,9 +301,7 @@ def _field_stats(field):
     n = s.size
     half = n // 2
     part = s.copy()
-    part.partition(half)
-    upper = part[half]
-    lower = part[:half].max() if n % 2 == 0 else upper
+    lower, upper = _middle(part)
     (lo,) = _bracketed(pairs, s <= s_min * (1.0 + _BRACKET), 0, [0])
     inside = s >= s_max * (1.0 - _BRACKET)
     (hi,) = _bracketed(pairs, inside, n - np.count_nonzero(inside), [n - 1])
@@ -319,22 +309,18 @@ def _field_stats(field):
     # every s below a precedes the partition point
     below = np.count_nonzero(part[:half] < a)
     middle = _bracketed(pairs, (s >= a) & (s <= b), below, [half] if n % 2 else [half - 1, half])
-    return lo, hi, middle
+    return lo, hi, middle[0], middle[-1]
 
 
 # -- public stages ----------------------------------------------------------
 
-def shift_min(values, scale_range=False):
+def shift_min(values):
     """Shift the map so its minimum value is exactly zero.
 
-    With scale_range=True the shifted map is also divided by (max - min),
-    mapping values into [0, 1]; a constant map stays all-zero rather than
-    dividing by zero.  The default performs the shift only.  A map whose
-    range overflows float64 is rejected like a non-finite one.
+    A map whose range overflows float64 is rejected like a non-finite one.
     """
     arr = _as_matrix(values)
-    lo, extent = _extent(arr)
-    return _shift(arr, np.empty_like(arr), lo, extent if scale_range else 0.0)
+    return np.subtract(arr, _extent(arr)[0])
 
 
 def center_abs_median(values):
@@ -344,10 +330,8 @@ def center_abs_median(values):
     extreme are moving pixels and map to large deviations.
     """
     arr = _as_flow_map(values)
-    buf = arr.copy(order="K")
-    median = _partition_median(buf)[0]
-    np.copyto(buf, arr)
-    return _abs_deviation(buf, median)
+    median = _median(*_middle(arr.flatten(order="K")), arr.size)
+    return _abs_deviation(arr.copy(order="K"), median)
 
 
 def squash(values):
@@ -387,11 +371,8 @@ def flow_magnitude(flow_uv):
     return _hypot(np.asarray(flow_uv, dtype=np.float64))
 
 
-def process(values, grid_rows, grid_cols, num_boxes, c_th, scale_range=False):
+def process(values, grid_rows, grid_cols, num_boxes, c_th):
     """Full pipeline from raw flow map to per-cell threshold vector.
-
-    scale_range additionally normalizes the shifted map by its range before
-    taking deviations (see shift_min).
 
     Bicubic interpolation can overshoot the source range; the resized map is
     clipped back to the squashed map's [min, max].  Squashed deviations lie
@@ -399,82 +380,48 @@ def process(values, grid_rows, grid_cols, num_boxes, c_th, scale_range=False):
     rounding: positive, and below c_th.
 
     The map (see check_flow_map) and the parameters are validated once, up
-    front.  Only two more passes need the whole map: its shift into one
-    map-size scratch buffer, and one partition of that buffer for the median
-    (plus the maximum of its lower half when the pixel count is even).
-    Deviation and squash then run in place on the pixels the resize taps:
-    the scratch buffer itself when every pixel is tapped, else a gathered
-    copy of at most 4 rows per grid row by 4 columns per grid column.
-
-    When the buffer holds the whole squashed map, the clip bounds are its
-    min and max; on small maps such as the simulator's 32x32 that costs less
-    than squashing the bounds apart.  For a gathered copy they need no pass
-    of their own and are exact: the deviation |s - median| rounds
-    monotonically in s on either side of the median, and squash is
-    monotone, so the squashed minimum sits at the median's neighbours (the
-    partition's middle values, between which no element lies) and the
-    squashed maximum at the shifted map's ends, 0 and its maximum.
+    front.  The whole map is read only for its min, max and two middle
+    values: one min and one max pass and one partition of a copy.  The shift
+    is monotone, so it maps them to the shifted map's as scalars.  Shift,
+    deviation and squash then run on the pixels the resize taps: the whole
+    map when every pixel is tapped, else a gathered copy of at most 4 rows
+    per grid row by 4 columns per grid column.  The clip bounds are exact
+    without a pass of their own: |s - median| rounds monotonically in s on
+    either side of the median and squash is monotone, so the squashed
+    minimum sits at the middle values, between which no element lies, and
+    the maximum at the shifted map's ends, 0 and its maximum.
 
     values may also be an (h, w, 2) float32 flow field, standing for the
-    map flow_magnitude(values).  When the resize taps a sub-grid, that map
-    is never built: its min, max and middle values come from the proxy
-    u^2 + v^2, exact but for one rounding, bracketed by a relative 2^-40
-    and resolved by hypot on the few pixels inside each bracket (see
-    _field_stats; this assumes np.hypot is within 1 ulp), and the shift,
-    applied to those order statistics as scalars, commutes with them.
-    hypot then runs once more, on the tapped sub-grid.  When every pixel
-    is tapped, the map is built and takes the path above.
+    map flow_magnitude(values), which is never built: its min, max and
+    middle values come from the proxy u^2 + v^2, exact but for one
+    rounding, bracketed by a relative 2^-40 and resolved by hypot on the few
+    pixels inside each bracket (see _field_stats; this assumes np.hypot is
+    within 1 ulp).  hypot then runs once more, on the tapped pixels.
 
     A map whose median overflows float64, such as [[0, 1.7e308, 1.7e308,
-    1.7e308]], is rejected as non-finite, as the stages reject it.
-
-    The result equals the composition of the public stages bit for bit (on
+    1.7e308]], is rejected as non-finite, as the stages reject it.  The
+    result equals the composition of the public stages bit for bit (on
     flow_magnitude(values) for a field), and the input is never modified.
-    Runtime is one partition of the map (of the proxy for a field) plus
-    linear passes.
     """
     arr = _as_input(values)
     _check_target(grid_rows, grid_cols)
     _check_thresholds(num_boxes, c_th)
-    plan = _resize_plan(arr.shape[:2], grid_rows, grid_cols)
-    index = None if plan is None else plan[0]
-    if arr.ndim == 3 and index is None:  # every pixel is tapped: build the map
-        arr = _hypot(arr)
     if arr.ndim == 2:
-        lo, extent = _extent(arr)
-        span = extent if scale_range else 0.0
-        buf = _shift(arr, np.empty_like(arr), lo, span)
-        median, lower, upper = _partition_median(buf)
-        if index is None:  # refill the buffer
-            tapped = _shift(arr, buf, lo, span)
-        else:
-            tapped = arr[index]
-            _shift(tapped, tapped, lo, span)
+        lo, hi, lower, upper = *_extent(arr), *_middle(arr.flatten(order="K"))
     else:
-        low, high, middle = _field_stats(arr)
-        lo = float(low)
-        extent = float(high) - lo
-        span = extent if scale_range else 0.0
-        # the shift is monotone, so it maps order statistics to order statistics
-        middle = _shift(middle, middle, lo, span)
-        median, lower, upper = _median(middle[0], middle[-1], arr.shape[0] * arr.shape[1])
-        tapped = _hypot(arr[index])
-        _shift(tapped, tapped, lo, span)
-    if not math.isfinite(median):  # the middle values' sum overflows
-        raise ValueError(_NON_FINITE)
+        lo, hi, lower, upper = _field_stats(arr)
+    median, lower, upper, extent = _shifted(lo, hi, lower, upper, arr.shape[0] * arr.shape[1])
+    plan = _resize_plan(arr.shape[:2], grid_rows, grid_cols)
+    tapped = arr if plan is None or plan[0] is None else arr[plan[0]]
+    tapped = np.subtract(tapped if arr.ndim == 2 else _hypot(tapped), lo)
     _squash(_abs_deviation(tapped, median))
-    if plan is None:
-        resized = tapped
-    else:
-        index, w_r, w_c = plan
-        resized = w_r @ tapped @ w_c.T
-        if index is None:  # tapped is the whole squashed map
-            floor, ceiling = tapped.min(), tapped.max()
-        else:
-            floor, ceiling = _squashed_range(median, lower, upper, extent, span)
-        np.maximum(resized, floor, out=resized)
-        np.minimum(resized, ceiling, out=resized)
-    return _thresholds(resized.ravel(order="C"), num_boxes, c_th)
+    if plan is not None:
+        _, w_r, w_c = plan
+        tapped = w_r @ tapped @ w_c.T
+        floor, ceiling = _squashed_range(median, lower, upper, extent)
+        np.maximum(tapped, floor, out=tapped)
+        np.minimum(tapped, ceiling, out=tapped)
+    return _thresholds(tapped.ravel(order="C"), num_boxes, c_th)
 
 
 def check_flow_map(values):
@@ -483,19 +430,16 @@ def check_flow_map(values):
 
     Rejects an empty map, an array that is neither a 2-D map nor such a
     field, a non-finite value (in u or v for a field), a finite map whose
-    range max - min overflows float64, and one whose shifted median does
-    (which process rejects unless scale_range is set).  Lets a caller that
-    may skip process on some frames, such as trace replay, reject such maps
-    up front.
+    range max - min overflows float64, and one whose shifted median does.
+    Lets a caller that may skip process on some frames, such as trace
+    replay, reject such maps up front.
     """
     arr = _as_input(values)
     if arr.ndim == 3:  # a field's magnitudes stay far below half the float64 maximum
         _field_squares(arr)
         return arr
-    lo, extent = _extent(arr)
+    lo, hi = _extent(arr)
     # only shifted values above half the float64 maximum can sum past it
-    if extent > np.finfo(np.float64).max / 2.0:
-        median = _partition_median(_shift(arr, np.empty_like(arr), lo, 0.0))[0]
-        if not math.isfinite(median):
-            raise ValueError(_NON_FINITE)
+    if hi - lo > np.finfo(np.float64).max / 2.0:
+        _shifted(lo, hi, *_middle(arr.flatten(order="K")), arr.size)
     return arr

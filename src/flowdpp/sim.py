@@ -20,6 +20,7 @@ from .controller import (
     ControllerConfig,
     ModelChoice,
     StepObservation,
+    _check_finite,
     arrival,
     queue_update,
     service,
@@ -94,19 +95,23 @@ class ScenarioConfig:
     couple_arrival: bool = True  # arrivals follow the chosen model's cycle time
 
     def __post_init__(self):
-        if self.horizon < 0:
-            raise ValueError("horizon must be >= 0")
+        _check_finite(self)
+        for name in ("horizon", "seed", "mean_objects_driving", "mean_objects_stationary",
+                     "flow_noise", "false_positive_rate", "per_object_latency_h",
+                     "per_object_latency_t"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0")
         for name in ("p_stay_driving", "p_stay_stationary", "miss_prob"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be a probability")
         for name in ("base_latency_h", "base_latency_t"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be > 0")
         # Checked here, once per run, because emulate_detector skips
         # thresholding and NMS (and their checks) on empty frames and
         # generate_frame builds grids without re-checking them.
         for name in ("flow_rows", "flow_cols", "grid_rows", "grid_cols", "boxes_per_cell"):
-            if getattr(self, name) < 1:
+            if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be >= 1")
         if not 0.0 < self.c_th <= 1.0:
             raise ValueError(f"c_th must be in (0, 1], got {self.c_th}")

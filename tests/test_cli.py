@@ -152,6 +152,14 @@ class TestGridCsv:
         with pytest.raises(ValueError, match="header"):
             fileio.load_grid_csv(path)
 
+    def test_duplicate_entry_rejected(self, tmp_path):
+        # a repeated (i, j, k) would otherwise silently replace the first entry
+        path = tmp_path / "grid.csv"
+        path.write_text(",".join(fileio.GRID_HEADER) + "\n0,0,0,0.9,1,1,2,2\n"
+                        "0,1,0,0.5,1,1,2,2\n0,0,0,0.2,1,1,2,2\n")
+        with pytest.raises(ValueError, match=r"grid\.csv: line 4: duplicate entry i, j, k = \(0, 0, 0\)"):
+            fileio.load_grid_csv(path)
+
 
 class TestConfig:
     def test_parse_basic(self, tmp_path):
@@ -287,6 +295,28 @@ class TestSimulateCommand:
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "none.ini")]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("where,key,value", [
+        ("scenario", "base_latency_h", "nan"),
+        ("controller", "v", "nan"),
+        ("controller", "w1", "inf"),
+        ("scenario", "overflow_cap", "inf"),
+        ("scenario", "flow_noise", "nan"),
+        ("scenario", "false_positive_rate", "-1"),
+        ("scenario", "per_object_latency_t", "-1"),
+        ("scenario", "mean_objects_driving", "-0.5"),
+        ("scenario", "seed", "-1"),
+        ("--seed", "seed", "-3"),
+    ])
+    def test_out_of_range_value_exits_2(self, tmp_path, capsys, where, key, value):
+        if where == "--seed":
+            cfg_path, flags = write_config(tmp_path), [where, value]
+        else:
+            cfg_path, flags = write_config(tmp_path, f"[{where}]\n{key} = {value}\n"), []
+        out_dir = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out_dir), *flags]) == 2
+        assert f"{key} must" in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
 @pytest.fixture(scope="module")

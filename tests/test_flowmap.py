@@ -93,27 +93,16 @@ class TestShiftMin:
         with pytest.raises(ValueError):
             flowmap.shift_min([[1.0, np.nan]])
 
-    @pytest.mark.parametrize("scale_range", [False, True])
-    def test_rejects_overflowing_range(self, scale_range):
-        # finite map whose shifted copy would hold inf (and nan once scaled)
+    @pytest.mark.parametrize("negated", [False, True])
+    def test_rejects_overflowing_range(self, negated):
+        # finite map whose shifted copy would hold inf
         for arr in ([[-1e308, 0.0, 1e308]], [[1.7e308], [-1.7e308]]):
             with pytest.raises(ValueError, match="non-finite"):
-                flowmap.shift_min(arr, scale_range)
+                flowmap.shift_min(-np.array(arr) if negated else arr)
 
     @given(dyadic_maps())
     def test_min_is_zero(self, arr):
         assert flowmap.shift_min(arr).min() == 0.0
-
-    def test_scale_range_maps_to_unit_interval(self):
-        np.testing.assert_allclose(
-            flowmap.shift_min([[1, 3], [5, 7]], scale_range=True),
-            [[0, 1 / 3], [2 / 3, 1]],
-        )
-
-    def test_scale_range_constant_map_stays_zero(self):
-        np.testing.assert_array_equal(
-            flowmap.shift_min([[4.0, 4.0]], scale_range=True), [[0.0, 0.0]]
-        )
 
 
 class TestCenterAbsMedian:
@@ -239,12 +228,12 @@ class TestProcess:
         assert np.all(out <= 0.25 + 1e-12)
 
     @given(float_maps(), st.integers(1, 6), st.integers(1, 6), st.integers(1, 3),
-           st.floats(min_value=1e-6, max_value=1.0), st.booleans())
+           st.floats(min_value=1e-6, max_value=1.0))
     @settings(max_examples=150)
-    def test_thresholds_between_sigmoid_image_bounds(self, arr, gr, gc, k, c_th, scale_range):
+    def test_thresholds_between_sigmoid_image_bounds(self, arr, gr, gc, k, c_th):
         # squashed deviations lie in [0.5, 1], so thresholds lie in
         # [c_th/(1+e^2), c_th/(1+e)], up to a few ulps of rounding
-        out = flowmap.process(arr, gr, gc, k, c_th, scale_range)
+        out = flowmap.process(arr, gr, gc, k, c_th)
         slack = 8 * np.finfo(np.float64).eps
         assert out.min() >= c_th / (1 + math.e**2) * (1 - slack)
         assert out.max() <= c_th / (1 + math.e) * (1 + slack)
@@ -263,15 +252,6 @@ class TestProcess:
         for k in range(1, 4):
             np.testing.assert_array_equal(blocks[k], blocks[0])
 
-    def test_scale_range_variant_keeps_bounds(self):
-        rng = np.random.default_rng(9)
-        arr = rng.normal(size=(12, 12))
-        out = flowmap.process(arr, 4, 4, 2, 0.5, scale_range=True)
-        assert np.all(out >= 0.5 / (1 + math.e**2) - 1e-12)
-        assert np.all(out <= 0.25 + 1e-12)
-        # range scaling changes the deviations, so thresholds differ
-        assert not np.allclose(out, flowmap.process(arr, 4, 4, 2, 0.5))
-
     def test_permutation_equivariance_without_resize(self):
         # grid dims equal map dims, so the pipeline is purely elementwise
         rng = np.random.default_rng(7)
@@ -282,19 +262,24 @@ class TestProcess:
         np.testing.assert_allclose(permuted, base[perm], atol=1e-12)
 
 
-def composed(values, grid_rows, grid_cols, num_boxes, c_th, scale_range=False):
+def median_of(arr):
+    """The median of a map from its middle values, as process takes it."""
+    return flowmap._median(*flowmap._middle(arr.flatten(order="K")), arr.size)
+
+
+def composed(values, grid_rows, grid_cols, num_boxes, c_th):
     """process() as the composition of the public stages."""
-    squashed = flowmap.squash(flowmap.center_abs_median(flowmap.shift_min(values, scale_range)))
+    squashed = flowmap.squash(flowmap.center_abs_median(flowmap.shift_min(values)))
     resized = flowmap.resize_bicubic(squashed, grid_rows, grid_cols)
     np.clip(resized, squashed.min(), squashed.max(), out=resized)
     return flowmap.vectorize_thresholds(resized, num_boxes, c_th)
 
 
-def dense_process(values, grid_rows, grid_cols, num_boxes, c_th, scale_range=False):
+def dense_process(values, grid_rows, grid_cols, num_boxes, c_th):
     """process() with dense weight matrices over the whole squashed map,
     clipped to its full-map min and max: the sum over every source pixel
     that the compact taps reproduce up to rounding."""
-    squashed = flowmap.squash(flowmap.center_abs_median(flowmap.shift_min(values, scale_range)))
+    squashed = flowmap.squash(flowmap.center_abs_median(flowmap.shift_min(values)))
     rows, cols = squashed.shape
     resized = (flowmap._resize_weights(rows, grid_rows) @ squashed
                @ flowmap._resize_weights(cols, grid_cols).T)
@@ -319,19 +304,18 @@ class TestProcessDifferential:
     """process() runs the stages in one scratch buffer; it must reproduce the
     stage-by-stage composition bit for bit."""
 
-    @given(float_maps(), st.integers(1, 6), st.integers(1, 6), st.integers(1, 3),
-           st.booleans())
+    @given(float_maps(), st.integers(1, 6), st.integers(1, 6), st.integers(1, 3))
     @settings(max_examples=150)
-    def test_equals_stage_composition(self, arr, gr, gc, k, scale_range):
-        got = flowmap.process(arr, gr, gc, k, 0.5, scale_range)
-        assert np.array_equal(got, composed(arr, gr, gc, k, 0.5, scale_range))
+    def test_equals_stage_composition(self, arr, gr, gc, k):
+        got = flowmap.process(arr, gr, gc, k, 0.5)
+        assert np.array_equal(got, composed(arr, gr, gc, k, 0.5))
 
-    @given(float_maps(), st.integers(1, 3), st.booleans())
+    @given(float_maps(), st.integers(1, 3))
     @settings(max_examples=60)
-    def test_equals_composition_on_map_size_grid(self, arr, k, scale_range):
+    def test_equals_composition_on_map_size_grid(self, arr, k):
         rows, cols = arr.shape
-        got = flowmap.process(arr, rows, cols, k, 0.7, scale_range)
-        assert np.array_equal(got, composed(arr, rows, cols, k, 0.7, scale_range))
+        got = flowmap.process(arr, rows, cols, k, 0.7)
+        assert np.array_equal(got, composed(arr, rows, cols, k, 0.7))
 
     @given(float_maps(), st.integers(1, 3))
     @settings(max_examples=100)
@@ -344,20 +328,22 @@ class TestProcessDifferential:
         assert np.array_equal(got, composed(tiled, rows, cols, k, 0.5))
 
     @pytest.mark.parametrize("name", sorted(FIXED_MAPS))
-    @pytest.mark.parametrize("scale_range", [False, True])
-    def test_fixed_cases(self, name, scale_range):
-        arr = FIXED_MAPS[name]
+    @pytest.mark.parametrize("fortran", [False, True])
+    def test_fixed_cases(self, name, fortran):
+        # the middle values come from a partition in memory order, which the
+        # layout changes
+        arr = np.asfortranarray(FIXED_MAPS[name]) if fortran else FIXED_MAPS[name]
         for grid in [(1, 1), (3, 4), (8, 8), arr.shape]:
-            got = flowmap.process(arr, *grid, 2, 0.5, scale_range)
-            assert np.array_equal(got, composed(arr, *grid, 2, 0.5, scale_range)), grid
+            got = flowmap.process(arr, *grid, 2, 0.5)
+            assert np.array_equal(got, composed(arr, *grid, 2, 0.5)), grid
 
-    @given(float_maps(), st.booleans())
+    @given(float_maps())
     @settings(max_examples=60)
-    def test_never_mutates_input(self, arr, scale_range):
+    def test_never_mutates_input(self, arr):
         for values in (arr, np.asfortranarray(arr), arr[:, ::-1]):
             before = values.copy()
-            flowmap.process(values, 2, 3, 2, 0.5, scale_range)
-            flowmap.process(values, *values.shape, 1, 0.5, scale_range)
+            flowmap.process(values, 2, 3, 2, 0.5)
+            flowmap.process(values, *values.shape, 1, 0.5)
             assert np.array_equal(values, before)
 
     def test_validates_before_any_work(self):
@@ -400,13 +386,15 @@ class TestProcessDifferential:
         assert flowmap.check_flow_map([[1, 2]]).dtype == np.float64
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("scale_range", [False, True])
-    def test_overflowing_range_rejected_like_stages(self, scale_range):
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_overflowing_range_rejected_like_stages(self, transposed):
         # finite map whose shifted copy overflows to infinity
-        arr = np.array([[-1e308, 0.0, 1e308]])
+        arr, grid = np.array([[-1e308, 0.0, 1e308]]), (1, 2)
+        if transposed:
+            arr, grid = arr.T, grid[::-1]
         for pipeline in (flowmap.process, composed):
             with pytest.raises(ValueError, match="non-finite"):
-                pipeline(arr, 1, 2, 1, 0.5, scale_range)
+                pipeline(arr, *grid, 1, 0.5)
 
 
 class TestCameraSizeMaps:
@@ -416,25 +404,25 @@ class TestCameraSizeMaps:
     def camera_map(self, request):
         return blob_flow(np.random.default_rng(list(request.param)), *request.param)
 
-    @pytest.mark.parametrize("scale_range", [False, True])
-    def test_equals_stage_composition(self, camera_map, scale_range):
+    @pytest.mark.parametrize("fortran", [False, True])
+    def test_equals_stage_composition(self, camera_map, fortran):
+        arr = np.asfortranarray(camera_map) if fortran else camera_map
         for grid in [(8, 8), (6, 10), (1, 1), (375, 8)]:
-            got = flowmap.process(camera_map, *grid, 2, 0.5, scale_range)
-            assert np.array_equal(got, composed(camera_map, *grid, 2, 0.5, scale_range)), grid
+            got = flowmap.process(arr, *grid, 2, 0.5)
+            assert np.array_equal(got, composed(arr, *grid, 2, 0.5)), grid
 
-    @pytest.mark.parametrize("scale_range", [False, True])
-    def test_within_ulps_of_dense_formula(self, camera_map, scale_range):
-        got = flowmap.process(camera_map, 8, 8, 2, 0.5, scale_range)
-        assert_within_ulps(got, dense_process(camera_map, 8, 8, 2, 0.5, scale_range))
+    @pytest.mark.parametrize("fortran", [False, True])
+    def test_within_ulps_of_dense_formula(self, camera_map, fortran):
+        arr = np.asfortranarray(camera_map) if fortran else camera_map
+        got = flowmap.process(arr, 8, 8, 2, 0.5)
+        assert_within_ulps(got, dense_process(arr, 8, 8, 2, 0.5))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_simulator_size_equals_dense_formula_exactly(self, seed):
         # 32 -> 8 taps every source index, so the compact product is the dense one
         rng = np.random.default_rng(seed)
         arr = blob_flow(rng, 32, 32) if seed % 2 else rng.gamma(2.0, size=(32, 32))
-        for scale_range in (False, True):
-            got = flowmap.process(arr, 8, 8, 2, 0.5, scale_range)
-            assert np.array_equal(got, dense_process(arr, 8, 8, 2, 0.5, scale_range))
+        assert np.array_equal(flowmap.process(arr, 8, 8, 2, 0.5), dense_process(arr, 8, 8, 2, 0.5))
 
 
 class TestUntappedPixels:
@@ -518,10 +506,10 @@ def blob_field(rng, rows, cols, blobs=3):
     return uv.astype(np.float32)
 
 
-def assert_field_matches_map(field, grid, scale_range, k=2, c_th=0.5):
-    got = flowmap.process(field, *grid, k, c_th, scale_range)
-    expected = flowmap.process(flowmap.flow_magnitude(field), *grid, k, c_th, scale_range)
-    assert np.array_equal(got, expected), (field.shape, grid, scale_range)
+def assert_field_matches_map(field, grid, k=2, c_th=0.5):
+    got = flowmap.process(field, *grid, k, c_th)
+    expected = flowmap.process(flowmap.flow_magnitude(field), *grid, k, c_th)
+    assert np.array_equal(got, expected), (field.shape, grid)
 
 
 def sqrt_mismatch_field(rows=3, cols=5):
@@ -556,18 +544,18 @@ class TestFlowFields:
     """process() on an (h, w, 2) float32 field equals process() on its
     magnitude map, bit for bit, without building that map."""
 
-    @given(flow_fields(), st.integers(1, 9), st.integers(1, 9), st.booleans())
+    @given(flow_fields(), st.integers(1, 9), st.integers(1, 9))
     @settings(max_examples=300, deadline=None)
-    def test_equals_process_of_magnitude(self, field, gr, gc, scale_range):
-        assert_field_matches_map(field, (gr, gc), scale_range)
+    def test_equals_process_of_magnitude(self, field, gr, gc):
+        assert_field_matches_map(field, (gr, gc))
 
     @staticmethod
     def assert_stats_exact(field):
         magnitude = np.sort(flowmap.flow_magnitude(field), axis=None)
         n = magnitude.size
-        lo, hi, middle = flowmap._field_stats(field)
+        lo, hi, lower, upper = flowmap._field_stats(field)
         assert lo == magnitude[0] and hi == magnitude[-1]
-        assert np.array_equal(middle, magnitude[[n // 2] if n % 2 else [n // 2 - 1, n // 2]])
+        assert (lower, upper) == (magnitude[(n - 1) // 2], magnitude[n // 2])
 
     @given(flow_fields(max_side=20))
     @settings(max_examples=300, deadline=None)
@@ -596,47 +584,46 @@ class TestFlowFields:
         v = 256.0 + np.random.default_rng(seed).integers(0, 64, size=(15, 20)) * 2.0 ** -15
         field = np.stack([np.full(v.shape, 2.0 ** 23 + 1), v], -1).astype(np.float32)
         self.assert_stats_exact(field)
-        for scale_range in (False, True):
-            assert_field_matches_map(field, (4, 4), scale_range)
+        assert_field_matches_map(field, (4, 4))
 
     @given(flow_fields(elements=st.sampled_from([0.0, -0.0, 1.0, -1.0, 3.0, 4.0])),
-           st.integers(1, 4), st.integers(1, 4), st.booleans())
+           st.integers(1, 4), st.integers(1, 4))
     @settings(max_examples=150, deadline=None)
-    def test_equals_process_of_magnitude_with_ties(self, field, gr, gc, scale_range):
-        assert_field_matches_map(field, (gr, gc), scale_range)
+    def test_equals_process_of_magnitude_with_ties(self, field, gr, gc):
+        assert_field_matches_map(field, (gr, gc))
 
-    @given(flow_fields(), st.booleans())
+    @given(flow_fields())
     @settings(max_examples=60, deadline=None)
-    def test_fully_tapped_fields(self, field, scale_range):
+    def test_fully_tapped_fields(self, field):
         # a grid of the field's own size, and a halving downsample, which
         # taps every index
         rows, cols = field.shape[:2]
-        assert_field_matches_map(field, (rows, cols), scale_range)
+        assert_field_matches_map(field, (rows, cols))
         tiled = np.tile(field, (2, 2, 1))
         assert flowmap._resize_plan(tiled.shape[:2], rows, cols)[0] is None
-        assert_field_matches_map(tiled, (rows, cols), scale_range)
+        assert_field_matches_map(tiled, (rows, cols))
 
     @pytest.mark.parametrize("name", sorted(FIXED_FIELDS))
-    @pytest.mark.parametrize("scale_range", [False, True])
-    def test_fixed_cases(self, name, scale_range):
-        field = FIXED_FIELDS[name]
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_fixed_cases(self, name, transposed):
+        # a transposed field is a strided view, and its pixels come in another order
+        field = FIXED_FIELDS[name].transpose(1, 0, 2) if transposed else FIXED_FIELDS[name]
         for grid in [(1, 1), (2, 3), (8, 8), (6, 10), field.shape[:2]]:
-            assert_field_matches_map(field, grid, scale_range)
+            assert_field_matches_map(field, grid)
 
     @pytest.mark.parametrize("shape", KITTI_SHAPES, ids=lambda shape: "x".join(map(str, shape)))
     def test_camera_size_fields(self, shape):
         field = blob_field(np.random.default_rng(list(shape)), *shape)
         self.assert_stats_exact(field)
         for grid in [(8, 8), (6, 10), (1, 1)]:
-            for scale_range in (False, True):
-                assert_field_matches_map(field, grid, scale_range)
+            assert_field_matches_map(field, grid)
 
     def test_layouts_and_no_mutation(self):
         base = np.random.default_rng(38).normal(size=(24, 30, 2)).astype(np.float32)
         for field in (base, np.asfortranarray(base), base[::2, ::-3], base.copy()[:, :, ::-1]):
             before = field.copy()
             for grid in [(4, 5), field.shape[:2]]:
-                assert_field_matches_map(field, grid, False)
+                assert_field_matches_map(field, grid)
             assert np.array_equal(field, before)
 
     def test_check_flow_map_returns_field_as_is(self):
@@ -667,9 +654,7 @@ class TestFlowFields:
     def test_non_finite_untapped_component_rejected(self, tmp_path, component, bad):
         field = blob_field(np.random.default_rng(39), *self.SHAPE)
         field[self.untapped_pixel() + (component,)] = bad
-        for check in (flowmap.check_flow_map,
-                      lambda a: flowmap.process(a, *self.GRID, 2, 0.5),
-                      lambda a: flowmap.process(a, *self.GRID, 2, 0.5, scale_range=True)):
+        for check in (flowmap.check_flow_map, lambda a: flowmap.process(a, *self.GRID, 2, 0.5)):
             with pytest.raises(ValueError, match="non-finite"):
                 check(field)
         fileio.write_flo(tmp_path / "flow0.flo", field)
@@ -725,7 +710,7 @@ class TestMedianOverflow:
 
     @pytest.mark.filterwarnings("error")
     def test_rejected_without_a_warning(self):
-        median = flowmap._partition_median(flowmap.shift_min(self.MAP))[0]
+        median = median_of(flowmap.shift_min(self.MAP))
         assert median == np.inf and type(median) is np.float64
         for check in (flowmap.check_flow_map, lambda a: flowmap.process(a, 1, 2, 1, 0.5),
                       lambda a: flowmap.process(a, 1, 4, 1, 0.5)):
@@ -736,9 +721,6 @@ class TestMedianOverflow:
     def test_agrees_with_the_stages(self):
         with pytest.raises(ValueError, match="non-finite"):
             composed(self.MAP, 1, 2, 1, 0.5)
-        # normalizing by the range keeps the median finite: the map passes
-        got = flowmap.process(self.MAP, 1, 2, 1, 0.5, scale_range=True)
-        assert np.array_equal(got, composed(self.MAP, 1, 2, 1, 0.5, scale_range=True))
 
     @pytest.mark.filterwarnings("error")
     def test_largest_finite_medians_unchanged(self):
@@ -747,7 +729,7 @@ class TestMedianOverflow:
         top = np.finfo(np.float64).max
         for values in ([0.0, top / 2, top / 2, top], [1.0, 3.0, 5e307, 8e307, 9e307, 1e308]):
             arr = np.array([values])
-            median = flowmap._partition_median(arr.copy())[0]
+            median = median_of(arr)
             assert median == np.median(arr) and np.isfinite(median)
             for grid in [(1, 2), arr.shape]:
                 assert np.array_equal(flowmap.check_flow_map(arr), arr)
@@ -758,47 +740,42 @@ class TestClipBounds:
     """The clip bounds come from order statistics, not a full-map pass."""
 
     @staticmethod
-    def assert_bounds_exact(arr, scale_range):
-        shifted = flowmap.shift_min(arr, scale_range)
-        median, lower, upper = flowmap._partition_median(shifted.copy())
+    def assert_bounds_exact(arr):
+        shifted = flowmap.shift_min(arr)
+        lower, upper = flowmap._middle(shifted.flatten())
+        median = flowmap._median(lower, upper, shifted.size)
         # the full-map pass the bounds replace, with the same kernels
         squashed = flowmap._squash(flowmap._abs_deviation(shifted, median))
-        extent = arr.max() - arr.min()
-        got = flowmap._squashed_range(median, lower, upper, extent, extent if scale_range else 0.0)
+        got = flowmap._squashed_range(median, lower, upper, arr.max() - arr.min())
         assert np.array_equal(got, [squashed.min(), squashed.max()])
 
-    @given(float_maps(max_side=9, elements=finite | dyadic | st.sampled_from([0.0, 1.0, 2.5])),
-           st.booleans())
+    @given(float_maps(max_side=9, elements=finite | dyadic | st.sampled_from([0.0, 1.0, 2.5])))
     @settings(max_examples=300)
-    def test_equal_full_map_min_max(self, arr, scale_range):
-        self.assert_bounds_exact(arr, scale_range)
+    def test_equal_full_map_min_max(self, arr):
+        self.assert_bounds_exact(arr)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    @pytest.mark.parametrize("scale_range", [False, True])
+    @pytest.mark.parametrize("negated", [False, True])
     @pytest.mark.parametrize("arr", [
         [[2.5]], [[3.0, 3.0], [3.0, 3.0]], [[1.0, 2.0]], [[1.0, 1.0, 2.0]],
         [[0.0, 1.7e308, 1.7e308, 1.7e308]],  # the middle values' sum overflows
         [[5e-324, 0.0]],
     ], ids=["1x1", "constant", "pair", "ties", "median overflow", "subnormal"])
-    def test_edge_cases(self, arr, scale_range):
-        self.assert_bounds_exact(np.array(arr), scale_range)
+    def test_edge_cases(self, arr, negated):
+        # negating swaps which end of the shifted map lies farther from the median
+        self.assert_bounds_exact(-np.array(arr) if negated else np.array(arr))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_camera_size_maps(self, seed):
-        arr = blob_flow(np.random.default_rng(seed), *KITTI_SHAPES[seed])
-        for scale_range in (False, True):
-            self.assert_bounds_exact(arr, scale_range)
+        self.assert_bounds_exact(blob_flow(np.random.default_rng(seed), *KITTI_SHAPES[seed]))
 
 
 class TestStagesMatchPlainNumpy:
     """Each public stage equals its textbook numpy expression."""
 
-    @given(float_maps(), st.booleans())
-    def test_shift_min(self, arr, scale_range):
-        expected = arr - arr.min()
-        if scale_range and expected.max() > 0.0:
-            expected = expected / expected.max()
-        assert np.array_equal(flowmap.shift_min(arr, scale_range), expected)
+    @given(float_maps())
+    def test_shift_min(self, arr):
+        assert np.array_equal(flowmap.shift_min(arr), arr - arr.min())
 
     @given(float_maps())
     def test_center_abs_median(self, arr):
@@ -833,7 +810,8 @@ class TestMedianHelper:
     @given(float_maps(max_side=9))
     def test_equals_np_median(self, arr):
         expected = np.median(arr)
-        got, lower, upper = flowmap._partition_median(arr.copy())
+        lower, upper = flowmap._middle(arr.flatten())
+        got = flowmap._median(lower, upper, arr.size)
         assert got == expected and type(got) is type(expected)
         assert lower <= got <= upper
         assert np.all((arr <= lower) | (arr >= upper))
@@ -841,11 +819,11 @@ class TestMedianHelper:
     @pytest.mark.parametrize("values", [[4.0], [2.0, 1.0], [3.0, 1.0, 2.0], [1.0, 1.0, 1.0, 5.0],
                                         [-0.0, 0.0], [7.0, -1.0, 7.0, 7.0, -1.0, 2.0]])
     def test_small_cases(self, values):
-        assert flowmap._partition_median(np.array([values]))[0] == np.median(values)
+        assert median_of(np.array([values])) == np.median(values)
 
     def test_camera_size_map(self):
         arr = np.random.default_rng(5).normal(size=(375, 1242))
-        assert flowmap._partition_median(arr.copy())[0] == np.median(arr)
+        assert median_of(arr) == np.median(arr)
 
 
 class TestResizeWeightCache:
