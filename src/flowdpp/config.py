@@ -4,6 +4,7 @@ parse -> save -> parse round trip reproduces the same configuration.
 """
 
 import configparser
+import math
 from dataclasses import dataclass, fields
 
 from .controller import ControllerConfig, ModelChoice
@@ -28,6 +29,17 @@ class RunConfig:
     reinforce_train_episodes: int = 50
     reinforce_episode_len: int = 50
     trace: str = ""
+
+    def __post_init__(self):
+        # written so that NaN fails each comparison
+        if not 0.0 < self.reinforce_lr < math.inf:
+            raise ValueError(f"reinforce_lr must be finite and > 0, got {self.reinforce_lr}")
+        if not 0.0 <= self.reinforce_gamma <= 1.0:
+            raise ValueError(f"reinforce_gamma must be in [0, 1], got {self.reinforce_gamma}")
+        if not self.reinforce_train_episodes >= 0:
+            raise ValueError("reinforce_train_episodes must be >= 0")
+        if not self.reinforce_episode_len >= 1:
+            raise ValueError("reinforce_episode_len must be >= 1")
 
 
 def _convert(raw, sample, where):
@@ -110,7 +122,10 @@ def parse_config(parser, source="<config>"):
             sections[section] = cls(**targets[section])
         except ValueError as exc:
             raise ConfigError(f"{source}: [{section}] {exc}") from exc
-    return RunConfig(**sections, **run_kwargs)
+    try:
+        return RunConfig(**sections, **run_kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{source}: [run] {exc}") from exc
 
 
 def load_config(path):

@@ -16,9 +16,12 @@ compact weights are cached per (source, target) size.
 
 process() and check_flow_map() also take an (h, w, 2) float32 flow field,
 as read_flo returns it, whose map is flow_magnitude(field): hypot(u, v) in
-float64.  process() never builds that map; it reads the same four order
-statistics off the proxy u^2 + v^2 (see _field_stats), and the result
-equals process(flow_magnitude(field)) bit for bit.
+float64.  process() never builds that map.  Its whole-field passes run on
+the float32 key u^2 + v^2, half the bytes of a float64 map, which may
+overflow to inf or round among the subnormals; each order statistic is
+then resolved by hypot on the few pixels inside a bracket of the key wide
+enough for both (see _field_stats).  The result equals
+process(flow_magnitude(field)) bit for bit.
 """
 
 import functools
@@ -237,9 +240,13 @@ def _thresholds(flat, num_boxes, c_th):
 
 # -- flow fields: order statistics of hypot(u, v) without the whole map -----
 
-# Relative half-width of the bracket around each needed order statistic of
-# the proxy u^2 + v^2; see _field_stats.
-_BRACKET = 2.0 ** -40
+# Each bracket around a key value c runs from _key_floor(c) to
+# _key_ceiling(c): c widened by a relative 2^-16 plus an absolute 2^-120.
+# All float32, so every compare against the key stays a float32 pass.
+_SHRINK = np.float32(1.0 - 2.0 ** -16)
+_GROW = np.float32(1.0 + 2.0 ** -16)
+_ABS = np.float32(2.0 ** -120)
+_KEY_MAX = np.finfo(np.float32).max
 
 
 def _hypot(uv):
@@ -247,28 +254,49 @@ def _hypot(uv):
     return np.hypot(uv[..., 0], uv[..., 1], dtype=np.float64)
 
 
-def _field_squares(field):
-    """(pairs, s, min s, max s) of an (h, w, 2) float32 field: pairs is its
-    (n, 2) row-major view and s[i] = u^2 + v^2 of pixel i in float64.
+def _key_floor(c):
+    """The lower end of the bracket around float32 key value c, clamped to
+    finite values so that it stays below an infinite c."""
+    return min(c, _KEY_MAX) * _SHRINK - _ABS
 
-    Squares of float32 values are exact in float64, neither overflow nor
-    underflow, and are non-negative, so s carries a single rounding, and
-    NaN shows in its min and inf in its max: the field is rejected exactly
-    when its hypot map is non-finite.
+
+def _key_ceiling(c):
+    """The upper end of the bracket around float32 key value c: inf when c
+    is within 2^-16 of the float32 maximum or past it."""
+    with np.errstate(over="ignore"):
+        return c * _GROW + _ABS
+
+
+def _field_key(field):
+    """(pairs, key, min key, hi) of an (h, w, 2) float32 field: pairs is
+    its (n, 2) row-major view, key[i] = u^2 + v^2 of pixel i in float32 and
+    hi the maximum of its hypot map, flow_magnitude(field), from the pixels
+    in the top bracket of the key (see _field_stats).
+
+    Rejects the field exactly when that map is non-finite.  A NaN in u or v
+    makes a NaN key and so a NaN minimum.  An inf in u or v makes an
+    infinite key, which is the maximum and in the top bracket, and so an
+    infinite hi.  A finite pixel whose key overflows to inf has a finite
+    hypot, so it is accepted.
     """
     pairs = field.reshape(-1, 2)
-    s = np.square(pairs[:, 0], dtype=np.float64)
-    s += np.square(pairs[:, 1], dtype=np.float64)
-    lo, hi = s.min(), s.max()
-    if not (math.isfinite(lo) and math.isfinite(hi)):
+    with np.errstate(over="ignore"):  # a key past the float32 maximum is inf
+        squares = np.square(pairs)
+        key = squares[:, 0] + squares[:, 1]
+    key_min = key.min()
+    if math.isnan(key_min):
         raise ValueError(_NON_FINITE)
-    return pairs, s, lo, hi
+    hi = _hypot(pairs[np.flatnonzero(key >= _key_floor(key.max()))]).max()
+    if not math.isfinite(hi):
+        raise ValueError(_NON_FINITE)
+    return pairs, key, key_min, hi
 
 
 def _bracketed(pairs, inside, below, ranks):
     """The values at these ranks (0-based, ascending) of the hypot map of a
-    field, given the pixels inside a bracket of s that holds them all and
-    the count of pixels below it.  hypot runs on the bracket's pixels only.
+    field, given the pixels inside a bracket of the key that holds them all
+    and the count of pixels below it.  hypot runs on the bracket's pixels
+    only.
     """
     values = _hypot(pairs[np.flatnonzero(inside)])  # faster than a boolean index
     offsets = [rank - below for rank in ranks]
@@ -283,32 +311,50 @@ def _bracketed(pairs, inside, below, ranks):
 def _field_stats(field):
     """(min, max, lower, upper) of flow_magnitude(field), lower and upper
     being its two middle values (the same value for an odd pixel count),
-    computed from the proxy s = u^2 + v^2 without building the map.
+    computed from the float32 key u^2 + v^2 without building the map.
 
-    s is within a relative 2^-53 of u^2 + v^2 and np.hypot within 1 ulp
-    (2^-52) of its true value, so two pixels whose s differ by more than a
-    relative 2^-50 or so are ordered the same way by hypot; _BRACKET leaves
-    a margin of about 1000 over that.  Let c be the rank-r value of s.  A
-    pixel with s below c (1 - _BRACKET) has a smaller hypot than each of
-    the n - r pixels with s >= c, one of which has a hypot at most the
-    map's rank-r value; so it ranks below that value, and likewise a pixel
-    above c (1 + _BRACKET) ranks above it.  The map's rank-r value is then
-    the rank (r - count below) hypot of the pixels in between, and one
-    bracket serves adjacent ranks.  One partition of a copy of s gives its
-    middle values; its minimum and maximum are already known.
+    Let t be the exact u^2 + v^2 of a pixel.  Its two squares and their sum
+    each round once in float32, so the key is t (1 + e) + d with |e| below
+    about 3 * 2^-24 and |d| below about 3 * 2^-150, the second term from
+    squares that fall among the subnormals; or the key is inf, which needs
+    t within that relative error of the float32 maximum or above it.
+    np.hypot is assumed within 1 ulp (2^-52) of sqrt(t) in float64.  So two
+    pixels whose keys differ by more than a relative 2^-16 plus an absolute
+    2^-120 are ordered the same way by their t and by hypot: 2^-16 leaves a
+    margin of more than 30 over the key's relative error and 2^-120 a vast
+    one over its absolute error.
+
+    Let c be the rank-r key.  Its bracket runs from _key_floor(c), about
+    c (1 - 2^-16) - 2^-120, to _key_ceiling(c), about c (1 + 2^-16) +
+    2^-120.  A pixel keyed below the floor has a smaller hypot than each of
+    the n - r pixels keyed >= c, one of which has a hypot at most the map's
+    rank-r value; so it ranks below that value, and likewise a pixel keyed
+    above the ceiling ranks above it.  The floor clamps c to the float32
+    maximum before it shrinks it: when c is inf, finite keys near the
+    maximum stay in the bracket with the overflowed ones, and hypot in
+    float64 orders them.  The map's rank-r value is then the rank
+    (r - count below) hypot of the pixels in between, and one bracket serves
+    adjacent ranks.
+
+    The bracket ends are float32 scalars.  A float64 end would promote each
+    compare to a float64 pass over the key; a Python float would be rounded
+    to float32 under NEP 50, within the margin.  The ends' own float32
+    rounding (a relative 2^-24, an absolute 2^-150) is within it too.
+
+    The whole-field passes all run on the float32 key: its min and max, one
+    partition of a copy for its middle values, and the bracket masks.
     """
-    pairs, s, s_min, s_max = _field_squares(field)
-    n = s.size
+    pairs, key, key_min, hi = _field_key(field)
+    n = key.size
     half = n // 2
-    part = s.copy()
+    part = key.copy()
     lower, upper = _middle(part)
-    (lo,) = _bracketed(pairs, s <= s_min * (1.0 + _BRACKET), 0, [0])
-    inside = s >= s_max * (1.0 - _BRACKET)
-    (hi,) = _bracketed(pairs, inside, n - np.count_nonzero(inside), [n - 1])
-    a, b = lower * (1.0 - _BRACKET), upper * (1.0 + _BRACKET)
-    # every s below a precedes the partition point
-    below = np.count_nonzero(part[:half] < a)
-    middle = _bracketed(pairs, (s >= a) & (s <= b), below, [half] if n % 2 else [half - 1, half])
+    lo = _hypot(pairs[np.flatnonzero(key <= _key_ceiling(key_min))]).min()
+    floor, ceiling = _key_floor(lower), _key_ceiling(upper)
+    # every key below the floor precedes the partition point
+    below = np.count_nonzero(part[:half] < floor)
+    inside = (key >= floor) & (key <= ceiling)
+    middle = _bracketed(pairs, inside, below, [half] if n % 2 else [half - 1, half])
     return lo, hi, middle[0], middle[-1]
 
 
@@ -393,10 +439,12 @@ def process(values, grid_rows, grid_cols, num_boxes, c_th):
 
     values may also be an (h, w, 2) float32 flow field, standing for the
     map flow_magnitude(values), which is never built: its min, max and
-    middle values come from the proxy u^2 + v^2, exact but for one
-    rounding, bracketed by a relative 2^-40 and resolved by hypot on the few
-    pixels inside each bracket (see _field_stats; this assumes np.hypot is
-    within 1 ulp).  hypot then runs once more, on the tapped pixels.
+    middle values come from the float32 key u^2 + v^2, bracketed by a
+    relative 2^-16 plus an absolute 2^-120 and resolved by hypot on the few
+    pixels inside each bracket.  The brackets absorb the key's rounding,
+    its subnormal squares and its overflow to inf (see _field_stats; this
+    assumes np.hypot is within 1 ulp).  hypot then runs once more, on the
+    tapped pixels.
 
     A map whose median overflows float64, such as [[0, 1.7e308, 1.7e308,
     1.7e308]], is rejected as non-finite, as the stages reject it.  The
@@ -433,10 +481,14 @@ def check_flow_map(values):
     range max - min overflows float64, and one whose shifted median does.
     Lets a caller that may skip process on some frames, such as trace
     replay, reject such maps up front.
+
+    A field gets the check process gives it: the float32 key, its minimum
+    and hypot on its top bracket (see _field_key), so a field whose keys
+    overflow to inf is accepted unless u or v is itself non-finite.
     """
     arr = _as_input(values)
     if arr.ndim == 3:  # a field's magnitudes stay far below half the float64 maximum
-        _field_squares(arr)
+        _field_key(arr)
         return arr
     lo, hi = _extent(arr)
     # only shifted values above half the float64 maximum can sum past it

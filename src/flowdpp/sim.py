@@ -98,7 +98,7 @@ class ScenarioConfig:
         _check_finite(self)
         for name in ("horizon", "seed", "mean_objects_driving", "mean_objects_stationary",
                      "flow_noise", "false_positive_rate", "per_object_latency_h",
-                     "per_object_latency_t"):
+                     "per_object_latency_t", "overflow_cap"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
         for name in ("p_stay_driving", "p_stay_stationary", "miss_prob"):

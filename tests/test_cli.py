@@ -318,6 +318,23 @@ class TestSimulateCommand:
         assert f"{key} must" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("key,value", [
+        ("reinforce_lr", "nan"),
+        ("reinforce_lr", "inf"),
+        ("reinforce_lr", "0"),
+        ("reinforce_gamma", "5"),
+        ("reinforce_gamma", "-0.1"),
+        ("reinforce_gamma", "nan"),
+        ("reinforce_train_episodes", "-2"),
+        ("reinforce_episode_len", "0"),
+    ])
+    def test_out_of_range_run_key_exits_2(self, tmp_path, capsys, key, value):
+        cfg_path = write_config(tmp_path, f"[run]\n{key} = {value}\n")
+        out_dir = tmp_path / "out"
+        assert main(["compare", "--config", str(cfg_path), "--out", str(out_dir)]) == 2
+        assert f"[run] {key} must" in capsys.readouterr().err
+        assert not out_dir.exists()
+
 
 @pytest.fixture(scope="module")
 def compare_dir(tmp_path_factory):

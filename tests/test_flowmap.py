@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -521,6 +522,56 @@ def sqrt_mismatch_field(rows=3, cols=5):
     return uv[differ[:rows * cols]].reshape(rows, cols, 2)
 
 
+def field_of_magnitudes(seed, log2_magnitudes):
+    """A float32 field of pixels in random directions whose magnitudes are
+    2 ** log2_magnitudes; magnitudes past 2^64 overflow the float32 key
+    u^2 + v^2, through a square or through the sum."""
+    rng = np.random.default_rng(seed)
+    uv = rng.normal(size=np.shape(log2_magnitudes) + (2,))
+    uv /= np.hypot(uv[..., :1], uv[..., 1:])
+    return (uv * 2.0 ** np.asarray(log2_magnitudes)[..., None]).astype(np.float32)
+
+
+def overflowing_field(seed, shape, overflowing):
+    """A field of this shape whose keys overflow on `overflowing` pixels in
+    shuffled places; the other magnitudes lie between 1/8 and 8."""
+    rng = np.random.default_rng(seed)
+    n = shape[0] * shape[1]
+    log2 = np.where(np.arange(n) < overflowing, rng.uniform(64.5, 127.9, n), rng.uniform(-3.0, 3.0, n))
+    return field_of_magnitudes(seed, rng.permutation(log2).reshape(shape))
+
+
+def subnormal_field(seed, shape=(12, 15)):
+    """Components of magnitude 2^-149 to 2^-63, whose squares fall among the
+    float32 subnormals or below them, mixed with zero and normal pixels."""
+    rng = np.random.default_rng(seed)
+    uv = rng.choice([-1.0, 1.0], shape + (2,)) * 2.0 ** rng.uniform(-149.0, -63.0, shape + (2,))
+    kind = rng.random(shape + (1,))
+    uv = np.where(kind < 0.3, 0.0, np.where(kind > 0.9, rng.normal(size=shape + (2,)), uv))
+    return uv.astype(np.float32)
+
+
+def pixel_pair(p, q):
+    """A 1x2 field of two pixels given as hex float (u, v) pairs."""
+    return np.array([[[float.fromhex(c) for c in p], [float.fromhex(c) for c in q]]], np.float32)
+
+
+# Pixel pairs found by search whose float32 keys u^2 + v^2 order them
+# opposite to their hypot: the first pixel has the smaller key and the
+# larger hypot.  Each reversal is bridged by one term of the bracket.
+KEY_REVERSED_PAIRS = {
+    # one rounding per square and the sum: the relative term
+    "key reversed by rounding": pixel_pair(("0x1.6ec248p-5", "-0x1.7ef84ap-4"),
+                                           ("0x1.144fe8p-4", "0x1.4267e8p-4")),
+    # squares rounded to the subnormal grid, 2^-149 against 2^-148: the absolute term
+    "key reversed by subnormal squares": pixel_pair(("0x1.ac5eb4p-75", "0x0p+0"),
+                                                    ("0x1.0c7ebcp-75", "0x1.0c7ebcp-75")),
+    # the float32 maximum against an overflowed key: the floor's clamp
+    "key reversed by overflow": pixel_pair(("0x1.154750p+62", "0x1.ecdf52p+63"),
+                                           ("0x1.97def4p+63", "0x1.357df4p+63")),
+}
+
+
 FIXED_FIELDS = {
     "1x1": np.array([[[3.0, -4.0]]], np.float32),
     "zeros": np.zeros((9, 14, 2), np.float32),
@@ -537,6 +588,11 @@ FIXED_FIELDS = {
     "sqrt rounds differently": sqrt_mismatch_field(),
     "float32 extremes": np.array([[[3.4e38, -3.4e38], [1e-45, 0.0]], [[-1e-45, 1e-45], [1.0, 2.0]]],
                                  np.float32),
+    "every key overflows": overflowing_field(41, (6, 7), 42),
+    "median keys overflow": overflowing_field(42, (8, 9), 40),
+    "upper half of keys overflows": overflowing_field(43, (8, 9), 36),
+    "subnormal squares": subnormal_field(44),
+    **KEY_REVERSED_PAIRS,
 }
 
 
@@ -570,9 +626,10 @@ class TestFlowFields:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_brackets_absorb_a_hypot_one_ulp_off(self, monkeypatch, seed):
-        # correctly rounded hypot never reverses the order of s; one that is
-        # 1 ulp off can, on pixels whose s are a few ulps apart: u = 2^23 + 1
-        # and v on a 2^-15 grid near 256 moves s by about 1 ulp per step
+        # a hypot 1 ulp off can reverse the order of pixels whose u^2 + v^2
+        # are a few float64 ulps apart: u = 2^23 + 1 and v on a 2^-15 grid
+        # near 256 moves u^2 + v^2 by about 1 ulp per step.  Their float32
+        # keys are equal, so one bracket must hold them all
         exact = flowmap._hypot
 
         def one_ulp_off(uv):
@@ -608,8 +665,39 @@ class TestFlowFields:
     def test_fixed_cases(self, name, transposed):
         # a transposed field is a strided view, and its pixels come in another order
         field = FIXED_FIELDS[name].transpose(1, 0, 2) if transposed else FIXED_FIELDS[name]
-        for grid in [(1, 1), (2, 3), (8, 8), (6, 10), field.shape[:2]]:
-            assert_field_matches_map(field, grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            self.assert_stats_exact(field)
+            for grid in [(1, 1), (2, 3), (8, 8), (6, 10), field.shape[:2]]:
+                assert_field_matches_map(field, grid)
+
+    @staticmethod
+    def float32_keys(field):
+        with np.errstate(over="ignore"):
+            squares = np.square(field)
+            return squares[..., 0] + squares[..., 1]
+
+    @pytest.mark.parametrize("name", sorted(KEY_REVERSED_PAIRS))
+    def test_pairs_whose_keys_order_against_hypot(self, name):
+        field = KEY_REVERSED_PAIRS[name]
+        (key,), (magnitude,) = self.float32_keys(field), flowmap.flow_magnitude(field)
+        assert key[0] < key[1] and magnitude[0] > magnitude[1]
+
+    @pytest.mark.parametrize("name, overflowing", [
+        ("every key overflows", 42), ("median keys overflow", 40), ("upper half of keys overflows", 36),
+    ])
+    def test_overflowing_keys_are_placed_as_built(self, name, overflowing):
+        # overflowing_field's keys overflow where meant to, and its
+        # magnitudes stay finite
+        field = FIXED_FIELDS[name]
+        assert np.count_nonzero(np.isinf(self.float32_keys(field))) == overflowing
+        assert np.all(np.isfinite(flowmap.flow_magnitude(field)))
+        assert flowmap.check_flow_map(field) is field
+
+    def test_subnormal_field_holds_every_kind_of_key(self):
+        key = self.float32_keys(FIXED_FIELDS["subnormal squares"])
+        tiny = np.finfo(np.float32).tiny
+        assert np.any(key == 0.0) and np.any((key > 0.0) & (key < tiny)) and np.any(key > 0.5)
 
     @pytest.mark.parametrize("shape", KITTI_SHAPES, ids=lambda shape: "x".join(map(str, shape)))
     def test_camera_size_fields(self, shape):
@@ -654,6 +742,18 @@ class TestFlowFields:
     def test_non_finite_untapped_component_rejected(self, tmp_path, component, bad):
         field = blob_field(np.random.default_rng(39), *self.SHAPE)
         field[self.untapped_pixel() + (component,)] = bad
+        self.assert_rejected_everywhere(tmp_path, field)
+
+    @pytest.mark.parametrize("component", [0, 1])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_component_among_overflowing_keys_rejected(self, tmp_path, component, bad):
+        # an infinite key that hides among keys overflowed from finite values
+        field = FIXED_FIELDS["every key overflows"].copy()
+        field[2, 3, component] = bad
+        self.assert_rejected_everywhere(tmp_path, field)
+
+    def assert_rejected_everywhere(self, tmp_path, field):
+        """process, check_flow_map and trace loading each reject the field."""
         for check in (flowmap.check_flow_map, lambda a: flowmap.process(a, *self.GRID, 2, 0.5)):
             with pytest.raises(ValueError, match="non-finite"):
                 check(field)

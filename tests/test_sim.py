@@ -465,6 +465,7 @@ BAD_SCENARIO_VALUES = [
     ("grid_rows", 0),
     ("flow_cols", 0),
     ("boxes_per_cell", 0),
+    ("overflow_cap", -1.0),
 ]
 
 
@@ -492,4 +493,4 @@ class TestScenarioChecks:
             c_th=1.0, nms_iou=0.0, match_iou=1.0, recoverable_conf=(0.0, 0.0),
             detected_conf=(1.0, 1.0), false_conf=(0.0, 1.0),
         )
-        sim.ScenarioConfig(nms_iou=1.0, c_th=1e-9)
+        sim.ScenarioConfig(nms_iou=1.0, c_th=1e-9, overflow_cap=0.0)
