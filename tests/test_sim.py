@@ -65,7 +65,117 @@ def frame_observation(frame, sc, coupled_arrival=False):
     return StepObservation(num_h, num_t, p_h, p_t, coupled_arrival)
 
 
+def reference_frame(scenario, rng, t, regime):
+    """generate_frame as first written, with five scalar draws per object:
+    an oracle for the frame and for the generator state it leaves."""
+    sc = scenario
+    moving = regime == sim.DRIVING
+    mean = sc.mean_objects_driving if moving else sc.mean_objects_stationary
+    count = int(rng.poisson(mean))
+    motion_scale = sc.object_motion_driving if moving else sc.object_motion_stationary
+
+    flow = np.zeros((sc.flow_rows, sc.flow_cols))
+    if sc.flow_noise > 0.0:
+        flow += sc.flow_noise * rng.standard_normal(flow.shape)
+
+    conf = np.zeros((sc.grid_rows, sc.grid_cols, sc.boxes_per_cell))
+    boxes = np.zeros(conf.shape + (4,))
+    boxes[..., 2:] = 0.01  # degenerate filler geometry for unused slots
+    truth = []
+    used = np.zeros((sc.grid_rows, sc.grid_cols), dtype=int)
+    for _ in range(count):
+        cx, cy = rng.uniform(0.15, 0.85, size=2).tolist()
+        w, h = rng.uniform(0.08, 0.25, size=2).tolist()
+        motion = motion_scale * rng.uniform(0.5, 1.0) if moving else motion_scale
+        truth.append((cx, cy, w, h))
+        r0 = int(min(max((cy - h / 2) * sc.flow_rows, 0), sc.flow_rows - 1))
+        r1 = int(min(max((cy + h / 2) * sc.flow_rows, r0 + 1), sc.flow_rows))
+        c0 = int(min(max((cx - w / 2) * sc.flow_cols, 0), sc.flow_cols - 1))
+        c1 = int(min(max((cx + w / 2) * sc.flow_cols, c0 + 1), sc.flow_cols))
+        flow[r0:r1, c0:c1] += motion
+        i = min(int(cy * sc.grid_rows), sc.grid_rows - 1)
+        j = min(int(cx * sc.grid_cols), sc.grid_cols - 1)
+        k = used[i, j]
+        if k >= sc.boxes_per_cell:
+            continue  # cell saturated; object stays in the ground truth only
+        used[i, j] += 1
+        missed = rng.random() < sc.miss_prob
+        lo, hi = sc.recoverable_conf if missed else sc.detected_conf
+        conf[i, j, k] = rng.uniform(lo, hi)
+        boxes[i, j, k] = (cx, cy, w, h)
+    for _ in range(rng.poisson(sc.false_positive_rate)):
+        i = rng.integers(sc.grid_rows)
+        j = rng.integers(sc.grid_cols)
+        k = used[i, j]
+        if k >= sc.boxes_per_cell:
+            continue
+        used[i, j] += 1
+        conf[i, j, k] = rng.uniform(*sc.false_conf)
+        boxes[i, j, k] = (
+            (j + 0.5) / sc.grid_cols,
+            (i + 0.5) / sc.grid_rows,
+            rng.uniform(0.05, 0.15),
+            rng.uniform(0.05, 0.15),
+        )
+    # every confidence is drawn from a checked range and every size is
+    # positive, so the grid needs no re-validation
+    grid = ConfidenceGrid._unchecked(conf, boxes)
+    return sim.FrameObservation(t, regime, truth, flow, grid)
+
+
+# Scenarios for generate_frame against reference_frame: saturated cells,
+# motion that is zero or -0.0 on top of noise or of a flat map, every object
+# missed or none, and a flow map the grid does not divide.
+FRAME_ORACLE_SCENARIOS = {
+    "default": sim.ScenarioConfig(),
+    "benchmark": sim.benchmark_config()[0],
+    "saturated cells": sim.ScenarioConfig(
+        grid_rows=2, grid_cols=2, boxes_per_cell=1, mean_objects_driving=9.0,
+        mean_objects_stationary=6.0, false_positive_rate=3.0,
+    ),
+    "noiseless stationary motion": sim.ScenarioConfig(
+        flow_noise=0.0, object_motion_stationary=2.5, mean_objects_stationary=2.0,
+    ),
+    "negative zero motion": sim.ScenarioConfig(
+        flow_noise=0.0, object_motion_driving=-0.0, object_motion_stationary=-0.0,
+        mean_objects_stationary=2.0,
+    ),
+    "never missed": sim.ScenarioConfig(miss_prob=0.0, mean_objects_stationary=1.0),
+    "always missed": sim.ScenarioConfig(miss_prob=1.0, mean_objects_stationary=1.0),
+    "uneven map": sim.ScenarioConfig(
+        flow_rows=9, flow_cols=13, grid_rows=3, grid_cols=5, mean_objects_driving=3.0,
+    ),
+}
+
+
 class TestGenerateFrame:
+    @pytest.mark.parametrize("regime", [sim.DRIVING, sim.STATIONARY])
+    @pytest.mark.parametrize("name", sorted(FRAME_ORACLE_SCENARIOS))
+    def test_matches_reference_frame_and_stream(self, name, regime):
+        """Same frames, bit for bit, and the same generator state after each;
+        half the seeds start with a buffered 32-bit half from integers()."""
+        sc = FRAME_ORACLE_SCENARIOS[name]
+        objects = 0
+        for seed in range(4):
+            for buffered in (False, True):
+                rngs = [np.random.default_rng(seed) for _ in range(2)]
+                if buffered:
+                    for rng in rngs:
+                        rng.integers(8)
+                    assert rngs[0].bit_generator.state["has_uint32"] == 1
+                new_rng, ref_rng = rngs
+                for t in range(40):
+                    new = sim.generate_frame(sc, new_rng, t, regime)
+                    ref = reference_frame(sc, ref_rng, t, regime)
+                    assert new.truth_boxes == ref.truth_boxes
+                    for got, want in ((new.flow, ref.flow), (new.grid.conf, ref.grid.conf),
+                                      (new.grid.boxes, ref.grid.boxes)):
+                        np.testing.assert_array_equal(got, want, strict=True)
+                        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+                    assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+                    objects += ref.num_objects
+        assert objects > 0
+
     def test_deterministic_for_same_rng_state(self):
         sc = tiny_scenario()
         frames = []
@@ -151,6 +261,18 @@ class TestRun:
             consumed.clear()
         assert len(seen[0]) == sc.horizon
         assert seen[0] == seen[1]
+
+    def test_frames_come_through_module_generate_frame(self, monkeypatch):
+        # FrameGenerator.next looks generate_frame up as a module global, so
+        # wrapping that global sees every generated frame
+        calls = []
+        generate_frame = sim.generate_frame
+        monkeypatch.setattr(
+            sim, "generate_frame", lambda *args: calls.append(args[2]) or generate_frame(*args)
+        )
+        sc = tiny_scenario()
+        sim.run(sc, AlwaysPolicy(ModelChoice.T))
+        assert calls == list(range(sc.horizon))
 
     def test_queue_replay_matches_recursion(self):
         sc = tiny_scenario()
