@@ -30,21 +30,9 @@ from .detection import ConfidenceGrid, nms, score_against_truth, threshold_detec
 from .policies import ReinforcePolicy, make_policy_state
 
 __all__ = [
-    "CPU_LATENCY",
-    "GPU_LATENCY",
-    "ScenarioConfig",
-    "FrameObservation",
-    "FrameGenerator",
-    "generate_frame",
-    "emulate_detector",
-    "SimResult",
-    "step",
-    "run",
-    "check_frames",
-    "summarize",
-    "Summary",
-    "benchmark_config",
-    "train_reinforce",
+    "CPU_LATENCY", "GPU_LATENCY", "ScenarioConfig", "FrameObservation", "FrameGenerator",
+    "generate_frame", "emulate_detector", "SimResult", "step", "run", "check_frames",
+    "summarize", "Summary", "benchmark_config", "train_reinforce",
 ]
 
 # Measured seconds per cycle (hybrid, plain detector) on the two platforms.
@@ -97,8 +85,9 @@ class ScenarioConfig:
     def __post_init__(self):
         _check_finite(self)
         for name in ("horizon", "seed", "mean_objects_driving", "mean_objects_stationary",
-                     "flow_noise", "false_positive_rate", "per_object_latency_h",
-                     "per_object_latency_t", "overflow_cap"):
+                     "object_motion_driving", "object_motion_stationary", "flow_noise",
+                     "false_positive_rate", "per_object_latency_h", "per_object_latency_t",
+                     "overflow_cap"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
         for name in ("p_stay_driving", "p_stay_stationary", "miss_prob"):
@@ -149,6 +138,11 @@ def generate_frame(scenario, rng, t, regime):
     Each object gets a box, a motion magnitude, a flow bump inside its box,
     and one confidence-grid entry at its center cell (drawn below c_th with
     probability miss_prob, so only the lowered thresholds recover it).
+
+    The draws from rng are a stream contract, in this order: the count, the
+    noise, per object one block (cx, cy, w, h, and the motion if driving)
+    then (miss, conf) only if its cell has a free slot, last false positives.
+    A uniform is lo + (hi - lo) * u, as Generator.uniform computes it.
     """
     sc = scenario
     moving = regime == DRIVING
@@ -156,9 +150,12 @@ def generate_frame(scenario, rng, t, regime):
     count = int(rng.poisson(mean))
     motion_scale = sc.object_motion_driving if moving else sc.object_motion_stationary
 
-    flow = np.zeros((sc.flow_rows, sc.flow_cols))
     if sc.flow_noise > 0.0:
-        flow += sc.flow_noise * rng.standard_normal(flow.shape)
+        flow = rng.standard_normal((sc.flow_rows, sc.flow_cols))
+        flow *= sc.flow_noise
+        flow += 0.0  # -0.0 becomes 0.0, so the map holds no -0.0
+    else:
+        flow = np.zeros((sc.flow_rows, sc.flow_cols))
 
     conf = np.zeros((sc.grid_rows, sc.grid_cols, sc.boxes_per_cell))
     boxes = np.zeros(conf.shape + (4,))
@@ -166,24 +163,26 @@ def generate_frame(scenario, rng, t, regime):
     truth = []
     used = np.zeros((sc.grid_rows, sc.grid_cols), dtype=int)
     for _ in range(count):
-        cx, cy = rng.uniform(0.15, 0.85, size=2).tolist()
-        w, h = rng.uniform(0.08, 0.25, size=2).tolist()
-        motion = motion_scale * rng.uniform(0.5, 1.0) if moving else motion_scale
+        u = rng.random(5 if moving else 4).tolist()
+        cx, cy = 0.15 + (0.85 - 0.15) * u[0], 0.15 + (0.85 - 0.15) * u[1]
+        w, h = 0.08 + (0.25 - 0.08) * u[2], 0.08 + (0.25 - 0.08) * u[3]
+        motion = motion_scale * (0.5 + (1.0 - 0.5) * u[4]) if moving else motion_scale
         truth.append((cx, cy, w, h))
         r0 = int(min(max((cy - h / 2) * sc.flow_rows, 0), sc.flow_rows - 1))
         r1 = int(min(max((cy + h / 2) * sc.flow_rows, r0 + 1), sc.flow_rows))
         c0 = int(min(max((cx - w / 2) * sc.flow_cols, 0), sc.flow_cols - 1))
         c1 = int(min(max((cx + w / 2) * sc.flow_cols, c0 + 1), sc.flow_cols))
-        flow[r0:r1, c0:c1] += motion
+        if motion:  # adding a zero to a map without -0.0 changes no bit
+            flow[r0:r1, c0:c1] += motion
         i = min(int(cy * sc.grid_rows), sc.grid_rows - 1)
         j = min(int(cx * sc.grid_cols), sc.grid_cols - 1)
         k = used[i, j]
         if k >= sc.boxes_per_cell:
             continue  # cell saturated; object stays in the ground truth only
         used[i, j] += 1
-        missed = rng.random() < sc.miss_prob
-        lo, hi = sc.recoverable_conf if missed else sc.detected_conf
-        conf[i, j, k] = rng.uniform(lo, hi)
+        miss, c = rng.random(2).tolist()
+        lo, hi = sc.recoverable_conf if miss < sc.miss_prob else sc.detected_conf
+        conf[i, j, k] = lo + (hi - lo) * c
         boxes[i, j, k] = (cx, cy, w, h)
     for _ in range(rng.poisson(sc.false_positive_rate)):
         i = rng.integers(sc.grid_rows)

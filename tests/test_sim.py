@@ -124,7 +124,7 @@ def reference_frame(scenario, rng, t, regime):
 
 
 # Scenarios for generate_frame against reference_frame: saturated cells,
-# motion that is zero or -0.0 on top of noise or of a flat map, every object
+# zero and -0.0 motion on a flat map, noise that rounds to -0.0, every object
 # missed or none, and a flow map the grid does not divide.
 FRAME_ORACLE_SCENARIOS = {
     "default": sim.ScenarioConfig(),
@@ -140,6 +140,8 @@ FRAME_ORACLE_SCENARIOS = {
         flow_noise=0.0, object_motion_driving=-0.0, object_motion_stationary=-0.0,
         mean_objects_stationary=2.0,
     ),
+    # noise this small rounds to -0.0 wherever a normal draw is in (-0.5, 0)
+    "subnormal noise": sim.ScenarioConfig(flow_noise=5e-324, mean_objects_stationary=2.0),
     "never missed": sim.ScenarioConfig(miss_prob=0.0, mean_objects_stationary=1.0),
     "always missed": sim.ScenarioConfig(miss_prob=1.0, mean_objects_stationary=1.0),
     "uneven map": sim.ScenarioConfig(
@@ -588,6 +590,10 @@ BAD_SCENARIO_VALUES = [
     ("flow_cols", 0),
     ("boxes_per_cell", 0),
     ("overflow_cap", -1.0),
+    ("object_motion_driving", -6.0),
+    ("object_motion_driving", float("nan")),
+    ("object_motion_stationary", -1e-300),
+    ("object_motion_stationary", float("nan")),
 ]
 
 
@@ -616,3 +622,5 @@ class TestScenarioChecks:
             detected_conf=(1.0, 1.0), false_conf=(0.0, 1.0),
         )
         sim.ScenarioConfig(nms_iou=1.0, c_th=1e-9, overflow_cap=0.0)
+        sim.ScenarioConfig(object_motion_driving=0.0, object_motion_stationary=-0.0)
+        sim.ScenarioConfig(object_motion_driving=-0.0, object_motion_stationary=0.0)
