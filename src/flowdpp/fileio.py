@@ -73,10 +73,10 @@ def write_matrix_csv(path, arr):
 
 
 def load_flow_map(path):
-    """Load a flow map: the (h, w, 2) float32 field of a .flo file, which
-    flowmap.process takes as its magnitude map flow_magnitude(field), or the
-    2-D matrix of a CSV file."""
-    if str(path).endswith(".flo"):
+    """Load a flow map: the (h, w, 2) float32 field of a .flo file (the
+    suffix in any case), which flowmap.process takes as its magnitude map
+    flow_magnitude(field), or the 2-D matrix of a CSV file."""
+    if str(path).lower().endswith(".flo"):
         return read_flo(path)
     return read_matrix_csv(path)
 

@@ -236,6 +236,18 @@ class TestProcessFlowCommand:
         assert len(values) == 32
         np.testing.assert_allclose(values, 0.5 / (1 + np.e))
 
+    @pytest.mark.parametrize("suffix", [".FLO", ".Flo"])
+    def test_flo_suffix_in_any_case(self, tmp_path, capsys, suffix):
+        flow = np.random.default_rng(2).normal(size=(9, 13, 2)).astype(np.float32)
+        outputs = []
+        for name in ("flow.flo", "flow" + suffix):
+            fileio.write_flo(tmp_path / name, flow)
+            out = tmp_path / (name + ".csv")
+            assert main(["process-flow", str(tmp_path / name), "--grid", "3x5", "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        capsys.readouterr()
+        assert outputs[0] == outputs[1]
+
     def test_truncated_flo_exits_2_without_partial_output(self, tmp_path, capsys):
         src = tmp_path / "broken.flo"
         fileio.write_flo(src, np.ones((4, 4, 2), dtype=np.float32))
@@ -503,6 +515,14 @@ class TestTraceInputErrors:
         cfg_path = self.write_run_config(tmp_path, self.write_trace(tmp_path))
         assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
         capsys.readouterr()
+
+    def test_flo_flow_file_in_upper_case(self, tmp_path):
+        trace_path = self.write_trace(tmp_path, row="0,stationary,0,flow0.FLO,conf0.csv\n")
+        field = np.zeros((2, 2, 2), dtype=np.float32)
+        field[..., 1] = 3.0
+        fileio.write_flo(trace_path.parent / "flow0.FLO", field)
+        (frame,) = fileio.load_trace(trace_path)
+        assert frame.flow.dtype == np.float32 and np.array_equal(frame.flow, field)
 
     def test_missing_trace_file(self, tmp_path, capsys):
         self.assert_exits_2(tmp_path, tmp_path / "none.csv", capsys, "none.csv")
