@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 usage or input error, 1 internal error.
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 import tempfile
@@ -45,18 +46,29 @@ def _fmt(x):
     return f"{x:.17g}" if isinstance(x, float) else str(x)
 
 
+def _output_error(path, exc):
+    """An InputError for an OSError met writing to the user's path, which
+    names that path, not a temp file."""
+    return InputError(f"cannot write {path}: {exc.strerror or exc}")
+
+
 def _atomic_write(path, render):
-    """Write via a temp file + rename so failures leave no partial output."""
+    """Write via a temp file + rename so failures leave no partial output.
+    An OSError, such as a missing directory or a directory at path, is an
+    InputError."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".flowdpp-")
     try:
-        with os.fdopen(fd, "w") as f:
-            render(f)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".flowdpp-")
+        try:
+            with os.fdopen(fd, "w") as f:
+                render(f)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise _output_error(path, exc) from exc
 
 
 def _parse_grid(text):
@@ -183,7 +195,10 @@ def cmd_run(args):
     frames = _load_frames(cfg)
     compare = args.command == "compare"
     policies = COMPARE_POLICIES if compare else [(cfg.policy.value, cfg.policy)]
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    try:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise _output_error(cfg.out_dir, exc) from exc
     results = [
         sim.run(cfg.scenario, _build_policy(cfg, kind), cfg=cfg.controller, frames=frames)
         for _, kind in policies
@@ -204,7 +219,12 @@ def cmd_run(args):
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The command-line parser, built once per process on the first call
+    and shared by every later one, so callers must not change it.
+    parse_args keeps no state between calls, and building the parser costs
+    more than parsing."""
     parser = argparse.ArgumentParser(prog="flowdpp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

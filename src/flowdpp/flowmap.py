@@ -119,6 +119,8 @@ def _middle(flat):
     One partition at n // 2 puts the upper middle value there and only
     smaller-or-equal values before it; for even n the lower middle value is
     the maximum of that lower half.  Every element is <= lower or >= upper.
+    flat may be any view that orders as the values do: _field_stats passes
+    the int32 bit patterns of a non-negative float32 key.
     """
     n = flat.size
     half = n // 2
@@ -343,12 +345,19 @@ def _field_stats(field):
 
     The whole-field passes all run on the float32 key: its min and max, one
     partition of a copy for its middle values, and the bracket masks.
+
+    The copy is partitioned through its int32 view, which numpy partitions
+    several times faster than float32.  The order is the same: _field_key
+    has rejected a NaN key before, and every other key is +0.0, positive or
+    +inf (squares are never negative, and +0.0 + +0.0 is +0.0), and the bit
+    patterns of non-negative IEEE values order as integers do.  The copy's
+    float32 view then holds the same values, partitioned the same way.
     """
     pairs, key, key_min, hi = _field_key(field)
     n = key.size
     half = n // 2
     part = key.copy()
-    lower, upper = _middle(part)
+    lower, upper = (bits.view(np.float32) for bits in _middle(part.view(np.int32)))
     lo = _hypot(pairs[np.flatnonzero(key <= _key_ceiling(key_min))]).min()
     floor, ceiling = _key_floor(lower), _key_ceiling(upper)
     # every key below the floor precedes the partition point

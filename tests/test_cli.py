@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from flowdpp import fileio, sim
+from flowdpp import cli, fileio, sim
 from flowdpp.cli import main
 from flowdpp.config import ConfigError, RunConfig, load_config, parse_config, save_config
 from flowdpp.detection import ConfidenceGrid
@@ -268,6 +268,26 @@ class TestProcessFlowCommand:
         assert main(["process-flow", str(src), "--grid", "4by4", "--out", str(tmp_path / "o.csv")]) == 2
         capsys.readouterr()
 
+    def test_missing_output_directory_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "flow.csv"
+        src.write_text("1,2\n3,4\n")
+        out = tmp_path / "missing_dir" / "t.csv"
+        assert main(["process-flow", str(src), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot write {out}" in err and ".flowdpp-" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["flow.csv"]
+
+    def test_output_path_is_a_directory_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "flow.csv"
+        src.write_text("1,2\n3,4\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["process-flow", str(src), "--out", str(out)]) == 2
+        assert f"error: cannot write {out}" in capsys.readouterr().err
+        # the temp file is removed, and nothing is written into the directory
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["flow.csv", "out"]
+        assert list(out.iterdir()) == []
+
 
 class TestSimulateCommand:
     def test_outputs_and_determinism(self, tmp_path, capsys):
@@ -308,6 +328,15 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(tmp_path / "none.ini")]) == 2
         capsys.readouterr()
 
+    def test_out_is_an_existing_file_exits_2(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path)
+        out = tmp_path / "taken"
+        out.write_text("kept\n")
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert f"error: cannot write {out}" in capsys.readouterr().err
+        assert out.read_text() == "kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ini", "taken"]
+
     @pytest.mark.parametrize("where,key,value", [
         ("scenario", "base_latency_h", "nan"),
         ("controller", "v", "nan"),
@@ -346,6 +375,56 @@ class TestSimulateCommand:
         assert main(["compare", "--config", str(cfg_path), "--out", str(out_dir)]) == 2
         assert f"[run] {key} must" in capsys.readouterr().err
         assert not out_dir.exists()
+
+
+class TestRepeatedMain:
+    """main called again and again in one process, as the benchmark
+    harness and library callers do, with its parser built once."""
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_seed_override_does_not_persist(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path)  # seed = 3
+        runs = {}
+        for name, flags in (("five", ["--seed", "5"]), ("config", []), ("three", ["--seed", "3"])):
+            out_dir = tmp_path / name
+            assert main(["simulate", "--config", str(cfg_path), "--out", str(out_dir), *flags]) == 0
+            runs[name] = (out_dir / "timeseries.csv").read_bytes()
+        capsys.readouterr()
+        assert runs["config"] == runs["three"] != runs["five"]
+
+    def test_grid_default_after_an_explicit_grid(self, tmp_path, capsys):
+        src = tmp_path / "flow.csv"
+        fileio.write_matrix_csv(src, np.random.default_rng(3).random((16, 16)))
+        counts = []
+        for flags in (["--grid", "2x2"], []):
+            out = tmp_path / "t.csv"
+            assert main(["process-flow", str(src), "--out", str(out), *flags]) == 0
+            counts.append(len(out.read_text().splitlines()))
+        capsys.readouterr()
+        assert counts == [2 * 2 * 2, 8 * 8 * 2]
+
+    def test_valid_call_after_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["process-flow", "--grid"])
+        assert exc.value.code == 2
+        src = tmp_path / "flow.csv"
+        src.write_text("1,3\n5,7\n")
+        out = tmp_path / "t.csv"
+        assert main(["process-flow", str(src), "--grid", "2x2", "--k", "1", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 4
+        capsys.readouterr()
+
+    def test_identical_process_flow_calls_write_identical_files(self, tmp_path, capsys):
+        src = tmp_path / "flow.flo"
+        fileio.write_flo(src, np.random.default_rng(4).normal(size=(37, 53, 2)).astype(np.float32))
+        outputs = []
+        for name in ("a.csv", "b.csv"):
+            assert main(["process-flow", str(src), "--grid", "4x6", "--out", str(tmp_path / name)]) == 0
+            outputs.append((tmp_path / name).read_bytes())
+        capsys.readouterr()
+        assert outputs[0] == outputs[1]
 
 
 @pytest.fixture(scope="module")

@@ -494,6 +494,44 @@ def flow_fields(max_side=12, elements=field_values):
     return hnp.arrays(np.float32, shapes, elements=elements)
 
 
+def f32(x):
+    return float(np.float32(x))
+
+
+def signed(magnitudes):
+    return st.tuples(st.sampled_from([-1.0, 1.0]), magnitudes).map(lambda sm: sm[0] * sm[1])
+
+
+# components whose keys u^2 + v^2 are +0, subnormal or zero squares, keys
+# of ordinary size, and keys near the float32 maximum, which may overflow
+key_components = (
+    st.sampled_from([0.0, -0.0])
+    | signed(st.floats(2.0 ** -149, 2.0 ** -63, width=32))
+    | st.floats(-8.0, 8.0, width=32)
+    | signed(st.floats(f32(2.0 ** 63.5), 2.0 ** 64, width=32))
+)
+# a component whose square overflows float32, so its key is +inf
+overflowing_components = signed(st.floats(f32(2.0 ** 64.1), float(np.finfo(np.float32).max), width=32))
+
+
+@st.composite
+def extreme_key_fields(draw, odd):
+    """A field with an odd or even pixel count whose keys mix +0,
+    subnormal squares, keys near the float32 maximum, and +inf keys on
+    about half the pixels, so that +inf sits at, just above or just below
+    the middle of the key."""
+    if odd:
+        shape = (2 * draw(st.integers(0, 4)) + 1, 2 * draw(st.integers(0, 4)) + 1)
+    else:
+        shape = (draw(st.integers(1, 9)), 2 * draw(st.integers(1, 5)))
+    n = shape[0] * shape[1]
+    pairs = draw(hnp.arrays(np.float32, (n, 2), elements=key_components))
+    infinite = draw(st.just(0) | st.integers(max(0, n // 2 - 2), min(n, n // 2 + 2)))
+    for i in draw(st.permutations(range(n)))[:infinite]:
+        pairs[i, draw(st.integers(0, 1))] = draw(overflowing_components)
+    return pairs.reshape(shape + (2,))
+
+
 def blob_field(rng, rows, cols, blobs=3):
     """A float32 (u, v) field: an expansion about a focus point plus
     Gaussian bumps of independent motion."""
@@ -616,6 +654,16 @@ class TestFlowFields:
     @given(flow_fields(max_side=20))
     @settings(max_examples=300, deadline=None)
     def test_order_statistics_equal_the_maps(self, field):
+        self.assert_stats_exact(field)
+
+    @pytest.mark.parametrize("odd", [True, False], ids=["odd count", "even count"])
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_order_statistics_of_extreme_keys(self, odd, data):
+        # the key's middle values are selected on its int32 bit patterns,
+        # which order +0, subnormal, normal and +inf keys as their values
+        field = data.draw(extreme_key_fields(odd))
+        assert field.shape[0] * field.shape[1] % 2 == odd
         self.assert_stats_exact(field)
 
     def test_order_statistics_where_sqrt_rounds_differently(self):
