@@ -1,0 +1,94 @@
+"""Golden outputs: `compare` on a benchmark_config-like scene must keep
+writing the same bytes.
+
+tests/golden/compare.json pins, per seed, the SHA-256 of the dpp, comp1 and
+comp2 rows (with the header) of timeseries.csv and summary.csv, plus an
+8-hex-digit digest per row that locates the first differing row on a
+mismatch.  comp3's rows are not pinned: its training runs through BLAS
+matmul, whose bits may depend on the CPU's kernel.  The pinned rows depend
+on no BLAS call and, while every drawn confidence clears every flow-lowered
+threshold, on no threshold bit either.
+
+A change that moves these outputs on purpose regenerates the file with
+`PYTHONPATH=src python tests/golden/regen.py` and says why.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from flowdpp import cli
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "compare.json"
+SEEDS = (0, 1, 2)
+PINNED_POLICIES = ("dpp", "comp1", "comp2")
+PINNED_FILES = {"timeseries.csv": 1, "summary.csv": 0}  # file -> policy column
+
+# benchmark_config (CPU profile, tie_break T, coupled arrivals) at horizon
+# 300, with paper_sweep's overflow cap and a token REINFORCE training
+CONFIG = """\
+[run]
+reinforce_train_episodes = 1
+reinforce_episode_len = 5
+
+[scenario]
+horizon = 300
+latency_profile = cpu
+couple_arrival = true
+overflow_cap = 50
+
+[controller]
+tie_break = T
+"""
+
+
+def pinned_rows(seed, work_dir):
+    """{file name: header plus the pinned policies' rows} from one compare."""
+    work_dir = Path(work_dir)
+    config = work_dir / "golden.ini"
+    config.write_text(CONFIG)
+    out = work_dir / f"compare-{seed}"
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(["compare", "--config", str(config), "--seed", str(seed), "--out", str(out)])
+    assert rc == 0
+    rows = {}
+    for name, column in PINNED_FILES.items():
+        header, *body = (out / name).read_text().splitlines()
+        rows[name] = [header] + [r for r in body if r.split(",")[column] in PINNED_POLICIES]
+    return rows
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def record(rows):
+    """The golden entry of one file's pinned rows."""
+    return {"sha256": _sha256("\n".join(rows)), "rows": "".join(_sha256(r)[:8] for r in rows)}
+
+
+def first_difference(name, rows, golden):
+    """A message naming the first row whose digest differs from the golden."""
+    expected = [golden["rows"][i:i + 8] for i in range(0, len(golden["rows"]), 8)]
+    for i, row in enumerate(rows):
+        if i >= len(expected):
+            return f"{name}: extra row {i}: {row}"
+        if _sha256(row)[:8] != expected[i]:
+            return f"{name}: row {i} differs from the golden output: {row}"
+    return f"{name}: {len(rows)} rows, the golden output has {len(expected)}"
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_compare_rows_match_golden(seed, tmp_path):
+    golden = json.loads(GOLDEN.read_text())[str(seed)]
+    for name, rows in pinned_rows(seed, tmp_path).items():
+        if record(rows)["sha256"] != golden[name]["sha256"]:
+            pytest.fail(first_difference(name, rows, golden[name]))
+
+
+def test_golden_pins_every_seed():
+    assert set(json.loads(GOLDEN.read_text())) == {str(s) for s in SEEDS}
