@@ -154,13 +154,19 @@ def _load_frames(cfg):
 
 
 def _write_timeseries(path, labelled_results):
+    """One row per step and policy.  Every column of a SimResult is float64,
+    so each value is written as _fmt writes a float, one f-string per row."""
     def render(f):
         f.write(",".join(TIMESERIES_COLUMNS) + "\n")
         for label, r in labelled_results:
             columns = (r.q, r.a, r.b, r.perf, r.p, r.tpr)
-            for t, (alpha, *values) in enumerate(zip(r.alpha, *(c.tolist() for c in columns))):
-                row = [t, label, alpha.value, *values, r.flops]
-                f.write(",".join(_fmt(v) for v in row) + "\n")
+            tail = f",{r.flops}\n"
+            f.writelines(
+                f"{t},{label},{alpha.value},{q:.17g},{a:.17g},{b:.17g},{perf:.17g},"
+                f"{p:.17g},{tpr:.17g}{tail}"
+                for t, (alpha, q, a, b, perf, p, tpr)
+                in enumerate(zip(r.alpha, *(c.tolist() for c in columns)))
+            )
 
     _atomic_write(path, render)
 
@@ -178,12 +184,15 @@ def _write_summary(path, labelled_summaries):
 
 
 def _write_dat(path, labels, columns):
-    """Gnuplot data: column 1 is t, one further column per policy."""
+    """Gnuplot data: column 1 is t, one further float64 column per policy,
+    each value written as _fmt writes a float."""
+    row = " ".join(["{}"] + ["{:.17g}"] * len(columns)) + "\n"
 
     def render(f):
         f.write("# t " + " ".join(labels) + "\n")
-        for t, values in enumerate(zip(*(c.tolist() for c in columns))):
-            f.write(" ".join([str(t)] + [_fmt(v) for v in values]) + "\n")
+        f.writelines(
+            row.format(t, *values) for t, values in enumerate(zip(*(c.tolist() for c in columns)))
+        )
 
     _atomic_write(path, render)
 

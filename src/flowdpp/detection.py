@@ -112,23 +112,27 @@ def threshold_detections(grid, thresholds):
     """Admit entries with confidence strictly above their threshold; keep the
     highest-confidence admitted box per cell.  Output is in row-major cell
     order.
+
+    One vector compare finds the admitted entries, in row-major order; a
+    Python pass over those few keeps each cell's best, replacing it only on
+    a strictly greater confidence, so a tie keeps the lowest box index.
     """
     thr = _threshold_tensor(grid, thresholds)
-    admitted = grid.conf > thr
-    # Pick the best admitted box per cell; masked argmax keeps the lowest k on
-    # confidence ties.
-    masked = np.where(admitted, grid.conf, -1.0)
-    best_k = masked.argmax(axis=2)
+    conf = grid.conf
+    admitted = np.flatnonzero(conf > thr)
+    num_boxes = conf.shape[2]
+    best = {}  # cell -> (flat entry, confidence), filled in cell order
+    for e, c in zip(admitted.tolist(), conf.ravel()[admitted].tolist()):
+        cell = e // num_boxes
+        if cell not in best or c > best[cell][1]:
+            best[cell] = (e, c)
+    cols = conf.shape[1]
+    flat_boxes = grid.boxes.reshape(-1, 4)
     out = []
-    for i, j in zip(*np.nonzero(admitted.any(axis=2))):
-        k = best_k[i, j]
+    for cell, (e, c) in best.items():
+        i, j = divmod(cell, cols)
         # tolist() keeps numpy scalars out of the downstream IoU arithmetic
-        out.append(
-            Detection(
-                int(i), int(j), int(k),
-                float(grid.conf[i, j, k]), tuple(grid.boxes[i, j, k].tolist()),
-            )
-        )
+        out.append(Detection(i, j, e - cell * num_boxes, c, tuple(flat_boxes[e].tolist())))
     return out
 
 

@@ -179,35 +179,30 @@ def _keys_kernel(x, a=-0.5):
     return np.where(ax <= 1.0, inner, np.where(ax < 2.0, outer, 0.0))
 
 
-def _resize_weights(n_src, n_dst):
-    """Dense (n_dst, n_src) bicubic weight matrix, clamp-to-edge taps.
+@functools.lru_cache(maxsize=32)
+def _taps(n_src, n_dst):
+    """(used, weights): the bicubic resize of one axis from n_src to n_dst
+    samples, clamp-to-edge, as the sorted source indices it reads and their
+    (n_dst, len(used)) weight columns.  Cached, so both arrays are read-only.
 
     Output sample i reads source coordinate (i + 0.5) * scale - 0.5, the
-    center-aligned convention, which degenerates to the identity matrix when
-    n_src == n_dst.  Each row has at most 4 nonzero entries.
+    center-aligned convention, which degenerates to the identity when
+    n_src == n_dst.  Each output reads 4 taps; np.add.at sums a row's taps
+    that clamp to the same edge index in tap order, and an index whose
+    weights all sum to zero is not read.
     """
     scale = n_src / n_dst
     x = (np.arange(n_dst) + 0.5) * scale - 0.5
     base = np.floor(x).astype(int)
-    frac = x - base
     offsets = np.arange(-1, 3)
-    taps = base[:, None] + offsets[None, :]
-    weights = _keys_kernel(frac[:, None] - offsets[None, :])
-    taps = np.clip(taps, 0, n_src - 1)
-    mat = np.zeros((n_dst, n_src))
-    np.add.at(mat, (np.repeat(np.arange(n_dst), 4), taps.ravel()), weights.ravel())
-    return mat
-
-
-@functools.lru_cache(maxsize=32)
-def _taps(n_src, n_dst):
-    """(used, weights): the sorted source indices with a nonzero weight in
-    _resize_weights(n_src, n_dst), and its (n_dst, len(used)) columns at
-    those indices.  Cached, so both arrays are read-only.
-    """
-    dense = _resize_weights(n_src, n_dst)
-    used = np.flatnonzero(np.any(dense != 0.0, axis=0))
-    weights = np.ascontiguousarray(dense[:, used])  # the dense layout, for BLAS
+    tap_weights = _keys_kernel((x - base)[:, None] - offsets[None, :])
+    taps = np.clip(base[:, None] + offsets[None, :], 0, n_src - 1)
+    columns, column_of = np.unique(taps, return_inverse=True)
+    compact = np.zeros((n_dst, columns.size))
+    np.add.at(compact, (np.repeat(np.arange(n_dst), 4), column_of.ravel()), tap_weights.ravel())
+    read = np.any(compact != 0.0, axis=0)
+    used = columns[read]
+    weights = np.ascontiguousarray(compact[:, read])  # the dense layout, for BLAS
     for arr in (used, weights):
         arr.setflags(write=False)
     return used, weights

@@ -6,12 +6,12 @@ action index 0 is H, index 1 is T.  Forward, backward, and the Adam step are
 written out in numpy so gradients can be checked against finite differences.
 The gradient runs over the whole episode as matrix products: one forward pass
 over the stacked (T, 10) state matrix and one backward pass over its rows,
-with no per-step loop.  A single decision is a forward pass over a batch of
-one.
+with no per-step loop.  A single decision runs the same layers as
+matrix-vector products, which give the same bits as that state's row of the
+batched pass.
 """
 
 import enum
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +30,6 @@ __all__ = [
     "policy_gradient",
     "reinforce_update",
     "reinforce_flops",
-    "save_mlp",
-    "load_mlp",
     "make_policy",
     "DppPolicy",
     "AlwaysPolicy",
@@ -110,14 +108,23 @@ def mlp_forward(params, state):
     activations).
 
     The output layer is raw logits + softmax (no ReLU) so both actions stay
-    reachable with any sign of logit.  A batch of one through the episode's
-    forward pass gives the same bits as the matrix-vector products would.
+    reachable with any sign of logit.  The layers are matrix-vector
+    products, updated in place; they give the same bits as the state's row
+    of _forward, so rollout decisions and the gradient's forward pass agree.
     """
     s = np.asarray(state, dtype=np.float64)
     if s.shape != (params.w1.shape[1],):
         raise ValueError(f"state shape {s.shape} does not match input size {params.w1.shape[1]}")
-    probs, h1, h2, logits = _forward(params, s[None])
-    return probs[0], (s, h1[0], h2[0], logits[0])
+    h1 = params.w1 @ s
+    h1 += params.b1
+    np.maximum(h1, 0.0, out=h1)
+    h2 = params.w2 @ h1
+    h2 += params.b2
+    np.maximum(h2, 0.0, out=h2)
+    logits = params.w3 @ h2
+    logits += params.b3
+    exp = np.exp(logits - logits.max())
+    return exp / exp.sum(), (s, h1, h2, logits)
 
 
 def make_policy_state(q, a_prev, b_prev, b_cur, p_cur, cfg):
@@ -225,34 +232,6 @@ def reinforce_flops(params):
     (matrix products only; bias adds and activations excluded)."""
     sizes = params.layer_sizes
     return 2 * sum(i * o for i, o in zip(sizes[:-1], sizes[1:]))
-
-
-_MAGIC = b"FGMLP1"
-
-
-def save_mlp(params, path):
-    """Flat binary format: magic "FGMLP1", four int32 LE layer sizes, then
-    w1, b1, w2, b2, w3, b3 row-major as float64 LE."""
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<4i", *params.layer_sizes))
-        for a in params.arrays():
-            f.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
-
-
-def load_mlp(path):
-    with open(path, "rb") as f:
-        magic = f.read(len(_MAGIC))
-        if magic != _MAGIC:
-            raise ValueError(f"bad MLP file magic: {magic!r}")
-        sizes = struct.unpack("<4i", f.read(16))
-        arrays = []
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            w = np.frombuffer(f.read(8 * fan_in * fan_out), dtype="<f8")
-            arrays.append(w.reshape(fan_out, fan_in).astype(np.float64))
-            b = np.frombuffer(f.read(8 * fan_out), dtype="<f8")
-            arrays.append(b.astype(np.float64))
-        return MlpParams(*arrays)
 
 
 class DppPolicy:

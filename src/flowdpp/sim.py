@@ -11,6 +11,7 @@ decisions, so runs with the same seed see identical frames regardless of the
 policy under test.
 """
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -143,11 +144,14 @@ def generate_frame(scenario, rng, t, regime):
     noise, per object one block (cx, cy, w, h, and the motion if driving)
     then (miss, conf) only if its cell has a free slot, last false positives.
     A uniform is lo + (hi - lo) * u, as Generator.uniform computes it.
+
+    The boxes start as a copy of the grid shape's cached filler template,
+    and a dict counts the used slots per cell.
     """
     sc = scenario
     moving = regime == DRIVING
     mean = sc.mean_objects_driving if moving else sc.mean_objects_stationary
-    count = int(rng.poisson(mean))
+    count = rng.poisson(mean)
     motion_scale = sc.object_motion_driving if moving else sc.object_motion_stationary
 
     if sc.flow_noise > 0.0:
@@ -157,11 +161,11 @@ def generate_frame(scenario, rng, t, regime):
     else:
         flow = np.zeros((sc.flow_rows, sc.flow_cols))
 
-    conf = np.zeros((sc.grid_rows, sc.grid_cols, sc.boxes_per_cell))
-    boxes = np.zeros(conf.shape + (4,))
-    boxes[..., 2:] = 0.01  # degenerate filler geometry for unused slots
+    shape = (sc.grid_rows, sc.grid_cols, sc.boxes_per_cell)
+    conf = np.zeros(shape)
+    boxes = _filler_boxes(shape).copy()
     truth = []
-    used = np.zeros((sc.grid_rows, sc.grid_cols), dtype=int)
+    used = {}  # (i, j) -> slots taken in that cell
     for _ in range(count):
         u = rng.random(5 if moving else 4).tolist()
         cx, cy = 0.15 + (0.85 - 0.15) * u[0], 0.15 + (0.85 - 0.15) * u[1]
@@ -176,21 +180,21 @@ def generate_frame(scenario, rng, t, regime):
             flow[r0:r1, c0:c1] += motion
         i = min(int(cy * sc.grid_rows), sc.grid_rows - 1)
         j = min(int(cx * sc.grid_cols), sc.grid_cols - 1)
-        k = used[i, j]
+        k = used.get((i, j), 0)
         if k >= sc.boxes_per_cell:
             continue  # cell saturated; object stays in the ground truth only
-        used[i, j] += 1
+        used[i, j] = k + 1
         miss, c = rng.random(2).tolist()
         lo, hi = sc.recoverable_conf if miss < sc.miss_prob else sc.detected_conf
         conf[i, j, k] = lo + (hi - lo) * c
         boxes[i, j, k] = (cx, cy, w, h)
     for _ in range(rng.poisson(sc.false_positive_rate)):
-        i = rng.integers(sc.grid_rows)
-        j = rng.integers(sc.grid_cols)
-        k = used[i, j]
+        i = int(rng.integers(sc.grid_rows))
+        j = int(rng.integers(sc.grid_cols))
+        k = used.get((i, j), 0)
         if k >= sc.boxes_per_cell:
             continue
-        used[i, j] += 1
+        used[i, j] = k + 1
         conf[i, j, k] = rng.uniform(*sc.false_conf)
         boxes[i, j, k] = (
             (j + 0.5) / sc.grid_cols,
@@ -202,6 +206,16 @@ def generate_frame(scenario, rng, t, regime):
     # positive, so the grid needs no re-validation
     grid = ConfidenceGrid._unchecked(conf, boxes)
     return FrameObservation(t, regime, truth, flow, grid)
+
+
+@functools.lru_cache(maxsize=None)
+def _filler_boxes(shape):
+    """Read-only boxes of a grid shape with every slot unused: degenerate
+    filler geometry (0, 0, 0.01, 0.01)."""
+    boxes = np.zeros(shape + (4,))
+    boxes[..., 2:] = 0.01
+    boxes.setflags(write=False)
+    return boxes
 
 
 class FrameGenerator:
@@ -241,7 +255,8 @@ def emulate_detector(frame, alpha, scenario):
     else:
         base, per_obj = sc.base_latency_t, sc.per_object_latency_t
     p = base + per_obj * frame.num_objects
-    if not frame.grid.conf.any():
+    # confidences lie in [0, 1], so no nonzero entry means no positive one
+    if not np.count_nonzero(frame.grid.conf):
         return [], 0, p
     if alpha is ModelChoice.H:
         thresholds = flowmap.process(

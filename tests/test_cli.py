@@ -324,6 +324,15 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(cfg_path)]) == 2
         assert "warp_speed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_zero_horizon_exits_2_without_output(self, tmp_path, capsys, command):
+        cfg_path = write_config(tmp_path, "[scenario]\nhorizon = 0\n")
+        out_dir = tmp_path / "out"
+        assert main([command, "--config", str(cfg_path), "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "horizon must be >= 1" in err
+        assert not out_dir.exists()
+
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "none.ini")]) == 2
         capsys.readouterr()

@@ -14,6 +14,49 @@ from flowdpp.detection import (
 )
 
 
+def reference_threshold_detections(grid, thresholds):
+    """The dense implementation threshold_detections replaced, kept as its
+    oracle: a masked argmax over every cell keeps the lowest box index on
+    confidence ties."""
+    rows, cols, k = grid.shape
+    thr = np.asarray(thresholds, dtype=np.float64)
+    if thr.ndim:
+        thr = thr.reshape(k, rows, cols).transpose(1, 2, 0)
+    admitted = grid.conf > thr
+    masked = np.where(admitted, grid.conf, -1.0)
+    best_k = masked.argmax(axis=2)
+    out = []
+    for i, j in zip(*np.nonzero(admitted.any(axis=2))):
+        k = best_k[i, j]
+        out.append(
+            Detection(
+                int(i), int(j), int(k),
+                float(grid.conf[i, j, k]), tuple(grid.boxes[i, j, k].tolist()),
+            )
+        )
+    return out
+
+
+# few distinct levels, -0.0 among them, so cells often hold equal confidences
+CONF_LEVELS = st.sampled_from([0.0, -0.0, 0.25, 0.5, 0.9, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def threshold_cases(draw):
+    """(grid, thresholds): a grid of up to 4x4 cells and 1-3 boxes, its conf
+    sometimes Fortran-ordered, with a scalar threshold (zero and negative
+    ones admit every entry) or a per-entry vector."""
+    rows, cols, k = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    n = rows * cols * k
+    conf = np.array(draw(st.lists(CONF_LEVELS, min_size=n, max_size=n))).reshape(rows, cols, k)
+    if draw(st.booleans()):
+        conf = np.asfortranarray(conf)
+    boxes = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(0.05, 0.9, (rows, cols, k, 4))
+    scalar = st.sampled_from([0.0, -0.0, -0.5, 0.25, 0.5]) | st.floats(-1.0, 1.5)
+    vector = st.lists(scalar, min_size=n, max_size=n).map(np.array)
+    return ConfidenceGrid(conf, boxes), draw(scalar | vector)
+
+
 def make_grid(conf, boxes=None):
     conf = np.asarray(conf, dtype=np.float64)
     if boxes is None:
@@ -104,6 +147,34 @@ class TestThresholdDetections:
     def test_vector_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             threshold_detections(make_grid([[[0.5]]]), np.array([0.1, 0.2]))
+
+    @given(threshold_cases())
+    @settings(max_examples=300)
+    def test_equals_the_dense_oracle(self, case):
+        grid, thresholds = case
+        got = threshold_detections(grid, thresholds)
+        want = reference_threshold_detections(grid, thresholds)
+        # repr tells -0.0 from 0.0; the types must be Python's, not numpy's
+        assert repr(got) == repr(want)
+        for g in got:
+            assert [type(v) for v in (g.row, g.col, g.box_index, g.confidence)] == [int] * 3 + [float]
+            assert type(g.box) is tuple and all(type(v) is float for v in g.box)
+
+    def test_fortran_ordered_grid(self):
+        conf = np.asfortranarray(np.arange(24.0).reshape(2, 3, 4) / 24.0)
+        grid = make_grid(conf)
+        assert grid.conf.flags.f_contiguous and not grid.conf.flags.c_contiguous
+        assert threshold_detections(grid, 0.0) == reference_threshold_detections(grid, 0.0)
+        assert [d.index for d in threshold_detections(grid, 0.0)] == [
+            (i, j, 3) for i in range(2) for j in range(3)
+        ]
+
+    def test_tie_keeps_the_lowest_box(self):
+        grid = make_grid([[[0.2, 0.7, 0.7, 0.7]]])
+        assert [d.index for d in threshold_detections(grid, 0.5)] == [(0, 0, 1)]
+        grid = make_grid([[[-0.0, 0.0]]])
+        dets = threshold_detections(grid, -1.0)
+        assert [d.index for d in dets] == [(0, 0, 0)] and repr(dets[0].confidence) == "-0.0"
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=40)

@@ -268,6 +268,22 @@ def median_of(arr):
     return flowmap._median(*flowmap._middle(arr.flatten(order="K")), arr.size)
 
 
+def resize_weights(n_src, n_dst):
+    """Dense (n_dst, n_src) bicubic weight matrix, clamp-to-edge taps: the
+    oracle of flowmap._taps, which keeps only its nonzero columns."""
+    scale = n_src / n_dst
+    x = (np.arange(n_dst) + 0.5) * scale - 0.5
+    base = np.floor(x).astype(int)
+    frac = x - base
+    offsets = np.arange(-1, 3)
+    taps = base[:, None] + offsets[None, :]
+    weights = flowmap._keys_kernel(frac[:, None] - offsets[None, :])
+    taps = np.clip(taps, 0, n_src - 1)
+    mat = np.zeros((n_dst, n_src))
+    np.add.at(mat, (np.repeat(np.arange(n_dst), 4), taps.ravel()), weights.ravel())
+    return mat
+
+
 def composed(values, grid_rows, grid_cols, num_boxes, c_th):
     """process() as the composition of the public stages."""
     squashed = flowmap.squash(flowmap.center_abs_median(flowmap.shift_min(values)))
@@ -282,8 +298,8 @@ def dense_process(values, grid_rows, grid_cols, num_boxes, c_th):
     that the compact taps reproduce up to rounding."""
     squashed = flowmap.squash(flowmap.center_abs_median(flowmap.shift_min(values)))
     rows, cols = squashed.shape
-    resized = (flowmap._resize_weights(rows, grid_rows) @ squashed
-               @ flowmap._resize_weights(cols, grid_cols).T)
+    resized = (resize_weights(rows, grid_rows) @ squashed
+               @ resize_weights(cols, grid_cols).T)
     np.clip(resized, squashed.min(), squashed.max(), out=resized)
     return flowmap.vectorize_thresholds(resized, num_boxes, c_th)
 
@@ -950,7 +966,7 @@ class TestStagesMatchPlainNumpy:
             return
         (rows_used, w_r), (cols_used, w_c) = flowmap._taps(rows, gr), flowmap._taps(cols, gc)
         assert np.array_equal(got, w_r @ arr[np.ix_(rows_used, cols_used)] @ w_c.T)
-        dense = flowmap._resize_weights(rows, gr) @ arr @ flowmap._resize_weights(cols, gc).T
+        dense = resize_weights(rows, gr) @ arr @ resize_weights(cols, gc).T
         assert_within_ulps(got, dense, scale=np.abs(arr).max())
 
 
@@ -997,18 +1013,29 @@ class TestResizeWeightCache:
     @pytest.mark.parametrize("n_src,n_dst", SIZES)
     def test_compact_columns_are_dense_nonzero_columns(self, n_src, n_dst):
         used, weights = flowmap._taps(n_src, n_dst)
-        dense = flowmap._resize_weights(n_src, n_dst)
+        dense = resize_weights(n_src, n_dst)
         assert np.array_equal(used, np.flatnonzero(np.any(dense != 0.0, axis=0)))
         assert np.array_equal(weights, dense[:, used])
         assert not np.any(np.delete(dense, used, axis=1))
         assert np.all(np.count_nonzero(dense, axis=1) <= 4)
         assert used.size <= 4 * n_dst
 
+    @given(st.integers(1, 400), st.integers(1, 60))
+    @settings(max_examples=200)
+    def test_taps_are_the_dense_oracle_bit_for_bit(self, n_src, n_dst):
+        used, weights = flowmap._taps.__wrapped__(n_src, n_dst)
+        dense = resize_weights(n_src, n_dst)
+        assert np.array_equal(used, np.flatnonzero(np.any(dense != 0.0, axis=0)))
+        assert used.dtype == np.intp and weights.flags.c_contiguous
+        expected = dense[:, used]
+        assert np.array_equal(weights, expected)
+        assert np.array_equal(np.signbit(weights), np.signbit(expected))
+
     def test_downsample_by_whole_factor_taps_every_index(self):
         # the simulator's 32x32 -> 8x8 maps: the compact matrix is the dense one
         used, weights = flowmap._taps(32, 8)
         assert np.array_equal(used, np.arange(32))
-        assert np.array_equal(weights, flowmap._resize_weights(32, 8))
+        assert np.array_equal(weights, resize_weights(32, 8))
         assert flowmap._resize_plan((32, 32), 8, 8)[0] is None
 
     def test_camera_map_taps_a_small_sub_grid(self):

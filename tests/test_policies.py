@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -16,14 +18,12 @@ from flowdpp.policies import (
     compress_state,
     episode_objective,
     init_mlp,
-    load_mlp,
     make_policy,
     make_policy_state,
     mlp_forward,
     policy_gradient,
     reinforce_flops,
     reinforce_update,
-    save_mlp,
 )
 
 
@@ -148,6 +148,20 @@ class TestMlpForward:
                 for got, expected in zip((probs, h1, h2, logits), want):
                     np.testing.assert_array_equal(got, expected)
                 np.testing.assert_array_equal(s, state)
+
+    @pytest.mark.parametrize("sizes", [(10, 128, 128, 2), (4, 5, 5, 2)])
+    def test_single_state_is_bit_identical_to_its_batch_row(self, sizes):
+        # rollout decisions use mlp_forward and the gradient uses _forward,
+        # so one state must give the same bits through both
+        rng = np.random.default_rng(31)
+        for seed in range(20):
+            params = init_mlp(np.random.default_rng(seed), sizes)
+            for _ in range(25):
+                state = compress_state(rng.normal(scale=5.0, size=sizes[0]))
+                probs, (_, h1, h2, logits) = mlp_forward(params, state)
+                batch = policies._forward(params, state[None])
+                for got, row in zip((probs, h1, h2, logits), batch):
+                    np.testing.assert_array_equal(got, row[0])
 
     def test_rejects_wrong_state_size(self):
         with pytest.raises(ValueError):
@@ -287,6 +301,34 @@ class TestFlopsAndState:
         assert np.all(np.abs(y) < 1.0)
         np.testing.assert_array_equal(np.sign(y), np.sign(x))
         np.testing.assert_allclose(compress_state([1.0]), [0.5])
+
+
+_MAGIC = b"FGMLP1"
+
+
+def save_mlp(params, path):
+    """Flat binary format: magic "FGMLP1", four int32 LE layer sizes, then
+    w1, b1, w2, b2, w3, b3 row-major as float64 LE."""
+    with open(path, "wb") as f:
+        f.write(_MAGIC)
+        f.write(struct.pack("<4i", *params.layer_sizes))
+        for a in params.arrays():
+            f.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+
+
+def load_mlp(path):
+    with open(path, "rb") as f:
+        magic = f.read(len(_MAGIC))
+        if magic != _MAGIC:
+            raise ValueError(f"bad MLP file magic: {magic!r}")
+        sizes = struct.unpack("<4i", f.read(16))
+        arrays = []
+        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+            w = np.frombuffer(f.read(8 * fan_in * fan_out), dtype="<f8")
+            arrays.append(w.reshape(fan_out, fan_in).astype(np.float64))
+            b = np.frombuffer(f.read(8 * fan_out), dtype="<f8")
+            arrays.append(b.astype(np.float64))
+        return MlpParams(*arrays)
 
 
 class TestSerialization:
