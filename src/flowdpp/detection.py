@@ -119,7 +119,7 @@ def threshold_detections(grid, thresholds):
     """
     thr = _threshold_tensor(grid, thresholds)
     conf = grid.conf
-    admitted = np.flatnonzero(conf > thr)
+    admitted = (conf > thr).ravel().nonzero()[0]  # np.flatnonzero, without its wrappers
     num_boxes = conf.shape[2]
     best = {}  # cell -> (flat entry, confidence), filled in cell order
     for e, c in zip(admitted.tolist(), conf.ravel()[admitted].tolist()):
