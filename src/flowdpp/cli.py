@@ -42,10 +42,6 @@ class InputError(Exception):
     """User-facing input problem; maps to exit code 2."""
 
 
-def _fmt(x):
-    return f"{x:.17g}" if isinstance(x, float) else str(x)
-
-
 def _output_error(path, exc):
     """An InputError for an OSError met writing to the user's path, which
     names that path, not a temp file."""
@@ -153,19 +149,19 @@ def _load_frames(cfg):
     return frames
 
 
+# Every output file writes one string per row: a float with 17 significant
+# digits ({x:.17g}, which round-trips), an int or a label as str() does.
+
+
 def _write_timeseries(path, labelled_results):
-    """One row per step and policy.  Every column of a SimResult is float64,
-    so each value is written as _fmt writes a float, one f-string per row."""
     def render(f):
         f.write(",".join(TIMESERIES_COLUMNS) + "\n")
         for label, r in labelled_results:
-            columns = (r.q, r.a, r.b, r.perf, r.p, r.tpr)
-            tail = f",{r.flops}\n"
+            rows = zip(r.alpha, *(c.tolist() for c in (r.q, r.a, r.b, r.perf, r.p, r.tpr)))
             f.writelines(
                 f"{t},{label},{alpha.value},{q:.17g},{a:.17g},{b:.17g},{perf:.17g},"
-                f"{p:.17g},{tpr:.17g}{tail}"
-                for t, (alpha, q, a, b, perf, p, tpr)
-                in enumerate(zip(r.alpha, *(c.tolist() for c in columns)))
+                f"{p:.17g},{tpr:.17g},{r.flops}\n"
+                for t, (alpha, q, a, b, perf, p, tpr) in enumerate(rows)
             )
 
     _atomic_write(path, render)
@@ -175,17 +171,17 @@ def _write_summary(path, labelled_summaries):
     def render(f):
         f.write(",".join(SUMMARY_COLUMNS) + "\n")
         for label, s in labelled_summaries:
-            row = [label, s.steps, s.avg_q, s.avg_tpr, s.avg_accuracy, s.mean_drift,
-                   s.decision_mix["H"], s.decision_mix["T"], s.total_flops,
-                   int(s.overflow)]
-            f.write(",".join(_fmt(v) for v in row) + "\n")
+            f.write(
+                f"{label},{s.steps},{s.avg_q:.17g},{s.avg_tpr:.17g},{s.avg_accuracy:.17g},"
+                f"{s.mean_drift:.17g},{s.decision_mix['H']},{s.decision_mix['T']},"
+                f"{s.total_flops},{int(s.overflow)}\n"
+            )
 
     _atomic_write(path, render)
 
 
 def _write_dat(path, labels, columns):
-    """Gnuplot data: column 1 is t, one further float64 column per policy,
-    each value written as _fmt writes a float."""
+    """Gnuplot data: column 1 is t, one further float column per policy."""
     row = " ".join(["{}"] + ["{:.17g}"] * len(columns)) + "\n"
 
     def render(f):

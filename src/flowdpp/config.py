@@ -40,8 +40,7 @@ class RunConfig:
             raise ValueError("reinforce_train_episodes must be >= 0")
         if not self.reinforce_episode_len >= 1:
             raise ValueError("reinforce_episode_len must be >= 1")
-        # a trace sets the step count; without one, zero steps leave nothing
-        # to summarize
+        # a trace sets the step count; zero generated steps leave no summary
         if not self.trace and self.scenario.horizon < 1:
             raise ValueError(f"horizon must be >= 1 when no trace is set, got {self.scenario.horizon}")
 

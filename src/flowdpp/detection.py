@@ -113,9 +113,9 @@ def threshold_detections(grid, thresholds):
     highest-confidence admitted box per cell.  Output is in row-major cell
     order.
 
-    One vector compare finds the admitted entries, in row-major order; a
-    Python pass over those few keeps each cell's best, replacing it only on
-    a strictly greater confidence, so a tie keeps the lowest box index.
+    One vector compare finds the admitted entries in row-major order; a pass
+    over those few keeps each cell's best, replaced only by a strictly
+    greater confidence, so a tie keeps the lowest box index.
     """
     thr = _threshold_tensor(grid, thresholds)
     conf = grid.conf

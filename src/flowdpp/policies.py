@@ -116,11 +116,9 @@ def mlp_forward(params, state):
     if s.shape != (params.w1.shape[1],):
         raise ValueError(f"state shape {s.shape} does not match input size {params.w1.shape[1]}")
     h1 = params.w1 @ s
-    h1 += params.b1
-    np.maximum(h1, 0.0, out=h1)
+    np.maximum(np.add(h1, params.b1, out=h1), 0.0, out=h1)
     h2 = params.w2 @ h1
-    h2 += params.b2
-    np.maximum(h2, 0.0, out=h2)
+    np.maximum(np.add(h2, params.b2, out=h2), 0.0, out=h2)
     logits = params.w3 @ h2
     logits += params.b3
     exp = np.exp(logits - logits.max())

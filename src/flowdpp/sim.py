@@ -208,10 +208,9 @@ def generate_frame(scenario, rng, t, regime):
     return FrameObservation(t, regime, truth, flow, grid)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=32)
 def _filler_boxes(shape):
-    """Read-only boxes of a grid shape with every slot unused: degenerate
-    filler geometry (0, 0, 0.01, 0.01)."""
+    """Read-only boxes of a grid shape, every slot unused: (0, 0, 0.01, 0.01)."""
     boxes = np.zeros(shape + (4,))
     boxes[..., 2:] = 0.01
     boxes.setflags(write=False)
@@ -242,10 +241,11 @@ def emulate_detector(frame, alpha, scenario):
     pre-NMS detections are a superset of T's.  Latency is base plus a
     per-object term on the frame's true object count.
 
-    A frame whose grid holds no positive confidence yields no detections
-    under either variant, because every threshold is positive (c_th > 0, and
-    the flow-lowered ones are at least c_th/(1+e^2)); such a frame skips the
-    flow map, thresholding and NMS.
+    A frame whose grid holds no nonzero confidence (grids lie in [0, 1], so
+    none is positive) yields no detections under either variant, because
+    every threshold is positive (c_th > 0, and the flow-lowered ones are at
+    least c_th/(1+e^2)); such a frame skips the flow map, thresholding and
+    NMS.
 
     Returns (post-NMS detections, detected count, seconds per cycle).
     """
@@ -255,7 +255,6 @@ def emulate_detector(frame, alpha, scenario):
     else:
         base, per_obj = sc.base_latency_t, sc.per_object_latency_t
     p = base + per_obj * frame.num_objects
-    # confidences lie in [0, 1], so no nonzero entry means no positive one
     if not np.count_nonzero(frame.grid.conf):
         return [], 0, p
     if alpha is ModelChoice.H:
