@@ -13,8 +13,8 @@ import argparse
 import dataclasses
 import functools
 import os
+import secrets
 import sys
-import tempfile
 
 import numpy as np
 
@@ -50,11 +50,12 @@ def _output_error(path, exc):
 
 def _atomic_write(path, render):
     """Write via a temp file + rename so failures leave no partial output.
-    An OSError, such as a missing directory or a directory at path, is an
-    InputError."""
-    directory = os.path.dirname(os.path.abspath(path))
+    The temp file is created as open(path, "w") creates a file, with mode
+    0o666 less the umask (mkstemp would give 0o600).  An OSError, such as a
+    missing directory or a directory at path, is an InputError."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".flowdpp-{secrets.token_hex(8)}")
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".flowdpp-")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w") as f:
                 render(f)
@@ -120,11 +121,8 @@ def _load_run_config(args):
 def _build_policy(cfg, kind):
     if kind is PolicyKind.REINFORCE:
         policy = make_policy(kind, seed=cfg.scenario.seed)
-        train_scenario = dataclasses.replace(
-            cfg.scenario, seed=cfg.scenario.seed + 1_000_003
-        )
         sim.train_reinforce(
-            train_scenario,
+            cfg.scenario,
             cfg=cfg.controller,
             episodes=cfg.reinforce_train_episodes,
             episode_len=cfg.reinforce_episode_len,

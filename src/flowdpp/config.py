@@ -109,6 +109,9 @@ def parse_config(parser, source="<config>"):
         for key, raw in parser.items(section):
             where = f"{source}: [{section}] {key}"
             if section == "scenario" and key == "latency_profile":
+                for clash in ("base_latency_h", "base_latency_t"):
+                    if parser.has_option(section, clash):
+                        raise ConfigError(f"{where}: cannot be combined with {clash}")
                 profile = raw.strip().lower()
                 if profile not in ("cpu", "gpu"):
                     raise ConfigError(f"{where}: expected cpu or gpu, got {raw!r}")

@@ -1,6 +1,9 @@
 """Decision policies: the drift-plus-penalty rule, the two static baselines,
 and a REINFORCE policy-gradient controller with a small MLP.
 
+decide(q, prev, obs, cfg, rng) receives the backlog, the previous step's
+(a, b, perf), the StepObservation, the config and the RNG; only REINFORCE reads prev.
+
 The MLP maps a 10-entry state vector to action probabilities over (H, T);
 action index 0 is H, index 1 is T.  Forward, backward, and the Adam step are
 written out in numpy so gradients can be checked against finite differences.
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controller import ModelChoice, dpp_flops, dpp_select
+from .controller import ACTIONS, ModelChoice, dpp_flops, dpp_select
 
 __all__ = [
     "PolicyKind",
@@ -42,8 +45,7 @@ REFERENCE_REINFORCE_FLOPS = 35_582
 STATE_SIZE = 10
 HIDDEN_SIZE = 128
 NUM_ACTIONS = 2
-ACTION_INDEX = {ModelChoice.H: 0, ModelChoice.T: 1}
-INDEX_ACTION = (ModelChoice.H, ModelChoice.T)
+ACTION_INDEX = {action: i for i, action in enumerate(ACTIONS)}
 
 
 class PolicyKind(enum.Enum):
@@ -125,15 +127,11 @@ def mlp_forward(params, state):
     return exp / exp.sum(), (s, h1, h2, logits)
 
 
-def make_policy_state(q, a_prev, b_prev, b_cur, p_cur, cfg):
-    """10-entry state vector: backlog, previous arrival, previous and current
-    service weights, current performance, then the five controller constants
-    (w1, w2, w_fps, w_p, V).
-    """
-    return np.array(
-        [q, a_prev, b_prev, b_cur, p_cur, cfg.w1, cfg.w2, cfg.w_fps, cfg.w_p, cfg.v],
-        dtype=np.float64,
-    )
+def make_policy_state(q, prev, cfg):
+    """10-entry state from q and the previous step's (a, b, perf): q, a, b twice,
+    perf, then w1, w2, w_fps, w_p and V.  No other code knows this layout."""
+    a, b, perf = prev
+    return np.array([q, a, b, b, perf, cfg.w1, cfg.w2, cfg.w_fps, cfg.w_p, cfg.v], dtype=float)
 
 
 def _normalized_returns(episode, gamma):
@@ -236,9 +234,7 @@ class DppPolicy:
     """Drift-plus-penalty selection; arrival-aware when the observation says
     the queue's arrivals are coupled to the chosen model's cycle time."""
 
-    kind = PolicyKind.DPP
-
-    def decide(self, q, obs, cfg, state, rng):
+    def decide(self, q, prev, obs, cfg, rng):
         return dpp_select(q, obs, cfg)
 
     def flops_per_decision(self):
@@ -248,9 +244,8 @@ class DppPolicy:
 class AlwaysPolicy:
     def __init__(self, choice):
         self.choice = choice
-        self.kind = PolicyKind.ALWAYS_H if choice is ModelChoice.H else PolicyKind.ALWAYS_T
 
-    def decide(self, q, obs, cfg, state, rng):
+    def decide(self, q, prev, obs, cfg, rng):
         return self.choice
 
     def flops_per_decision(self):
@@ -275,20 +270,18 @@ class ReinforcePolicy:
     pass; the same transform is applied when updating from an episode.
     """
 
-    kind = PolicyKind.REINFORCE
-
     def __init__(self, params=None, seed=0):
         if params is None:
             params = init_mlp(np.random.default_rng(seed))
         self.params = params
         self.opt = AdamState.zeros_like(params)
 
-    def decide(self, q, obs, cfg, state, rng):
-        probs, _ = mlp_forward(self.params, compress_state(state))
+    def decide(self, q, prev, obs, cfg, rng):
+        probs, _ = mlp_forward(self.params, compress_state(make_policy_state(q, prev, cfg)))
         p_h, p_t = probs.tolist()
         # rng.choice(2, p=probs) without its input checks: one uniform draw
         # against the normalized CDF, so the same stream gives the same action
-        return INDEX_ACTION[int(rng.random() >= p_h / (p_h + p_t))]
+        return ACTIONS[int(rng.random() >= p_h / (p_h + p_t))]
 
     def update(self, episode, lr=2e-4, gamma=0.99):
         states = compress_state([s for (s, _, _) in episode])
@@ -304,8 +297,8 @@ class ReinforcePolicy:
 class UniformRandomPolicy:
     """Coin-flip baseline used when evaluating learned policies."""
 
-    def decide(self, q, obs, cfg, state, rng):
-        return INDEX_ACTION[rng.integers(NUM_ACTIONS)]
+    def decide(self, q, prev, obs, cfg, rng):
+        return ACTIONS[rng.integers(NUM_ACTIONS)]
 
     def flops_per_decision(self):
         return 0

@@ -11,7 +11,6 @@ decisions, so runs with the same seed see identical frames regardless of the
 policy under test.
 """
 
-import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -145,8 +144,8 @@ def generate_frame(scenario, rng, t, regime):
     then (miss, conf) only if its cell has a free slot, last false positives.
     A uniform is lo + (hi - lo) * u, as Generator.uniform computes it.
 
-    The boxes start as a copy of the grid shape's cached filler template,
-    and a dict counts the used slots per cell.
+    An unused slot keeps conf 0 and an all-zero box, which no threshold
+    admits.  A dict counts the used slots per cell.
     """
     sc = scenario
     moving = regime == DRIVING
@@ -163,7 +162,7 @@ def generate_frame(scenario, rng, t, regime):
 
     shape = (sc.grid_rows, sc.grid_cols, sc.boxes_per_cell)
     conf = np.zeros(shape)
-    boxes = _filler_boxes(shape).copy()
+    boxes = np.zeros(shape + (4,))
     truth = []
     used = {}  # (i, j) -> slots taken in that cell
     for _ in range(count):
@@ -206,15 +205,6 @@ def generate_frame(scenario, rng, t, regime):
     # positive, so the grid needs no re-validation
     grid = ConfidenceGrid._unchecked(conf, boxes)
     return FrameObservation(t, regime, truth, flow, grid)
-
-
-@functools.lru_cache(maxsize=32)
-def _filler_boxes(shape):
-    """Read-only boxes of a grid shape, every slot unused: (0, 0, 0.01, 0.01)."""
-    boxes = np.zeros(shape + (4,))
-    boxes[..., 2:] = 0.01
-    boxes.setflags(write=False)
-    return boxes
 
 
 class FrameGenerator:
@@ -304,12 +294,10 @@ def step(q, prev, frame, policy, scenario, cfg, rng, collect=None):
     tpr, recall); tpr and recall are NaN on an unlabeled trace frame.
     """
     sc = scenario
-    prev_a, prev_b, prev_perf = prev
     dets_h, num_h, p_h = emulate_detector(frame, ModelChoice.H, sc)
     dets_t, num_t, p_t = emulate_detector(frame, ModelChoice.T, sc)
     obs = StepObservation(num_h, num_t, p_h, p_t, sc.couple_arrival)
-    pstate = make_policy_state(q, prev_a, prev_b, prev_b, prev_perf, cfg)
-    alpha = policy.decide(q, obs, cfg, pstate, rng)
+    alpha = policy.decide(q, prev, obs, cfg, rng)
 
     dets = dets_h if alpha is ModelChoice.H else dets_t
     p = obs.latency(alpha)
@@ -325,7 +313,7 @@ def step(q, prev, frame, policy, scenario, cfg, rng, collect=None):
         recall = metrics.correctly_detected / frame.num_objects if frame.num_objects else 1.0
     if collect is not None:
         # the plain DPP score V*P + Q*b, without the coupled rule's -Q*a term
-        collect.append((pstate, alpha, cfg.v * perf + q * b))
+        collect.append((make_policy_state(q, prev, cfg), alpha, cfg.v * perf + q * b))
     return alpha, queue_update(q, a, b), a, b, perf, p, tpr, recall
 
 

@@ -211,6 +211,24 @@ class TestConfig:
         with pytest.raises(ConfigError, match="latency_profile"):
             parse_config(parser)
 
+    @pytest.mark.parametrize("key", ["base_latency_h", "base_latency_t"])
+    @pytest.mark.parametrize("profile_first", [True, False])
+    def test_latency_profile_excludes_base_latency(self, tmp_path, capsys, key, profile_first):
+        # either order would otherwise let one key silently override the other
+        lines = ["latency_profile = gpu", f"{key} = 0.2"]
+        if not profile_first:
+            lines.reverse()
+        text = "[scenario]\n" + "\n".join(lines) + "\n"
+        parser = configparser.ConfigParser()
+        parser.read_string(text)
+        with pytest.raises(ConfigError, match=rf"\[scenario\] latency_profile: .*{key}"):
+            parse_config(parser, source="test.ini")
+        cfg_path = write_config(tmp_path, text)
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "latency_profile" in err and key in err
+        assert not (tmp_path / "o").exists()
+
 
 class TestProcessFlowCommand:
     def test_csv_input_worked_example(self, tmp_path, capsys):
@@ -287,6 +305,40 @@ class TestProcessFlowCommand:
         # the temp file is removed, and nothing is written into the directory
         assert sorted(p.name for p in tmp_path.iterdir()) == ["flow.csv", "out"]
         assert list(out.iterdir()) == []
+
+
+class TestOutputModes:
+    """Outputs get the mode open(path, "w") gives a new file, 0o666 & ~umask,
+    although they are written through a 0o600 temp file."""
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_outputs_follow_umask(self, tmp_path, capsys, umask):
+        src = tmp_path / "flow.csv"
+        src.write_text("1,2\n3,4\n")
+        cfg_path = write_config(
+            tmp_path,
+            "[run]\nreinforce_train_episodes = 2\nreinforce_episode_len = 5\n\n"
+            "[scenario]\nhorizon = 20\nflow_rows = 8\nflow_cols = 8\ngrid_rows = 4\n"
+            "grid_cols = 4\n",
+        )
+        old = os.umask(umask)
+        try:
+            assert main(["process-flow", str(src), "--grid", "2x2",
+                         "--out", str(tmp_path / "thresholds.csv")]) == 0
+            for command in ("simulate", "compare"):
+                out = str(tmp_path / command)
+                assert main([command, "--config", str(cfg_path), "--out", out]) == 0
+            assert os.umask(umask) == umask  # no write left the umask changed
+        finally:
+            os.umask(old)
+        capsys.readouterr()
+        outputs = [tmp_path / "thresholds.csv"]
+        outputs += [tmp_path / "simulate" / f for f in ("timeseries.csv", "summary.csv")]
+        outputs += [tmp_path / "compare" / f for f in (
+            "timeseries.csv", "summary.csv", "queue_backlog.dat", "accuracy.dat")]
+        modes = {str(p.relative_to(tmp_path)): oct(p.stat().st_mode & 0o777) for p in outputs}
+        assert modes == {name: oct(0o666 & ~umask) for name in modes}
+        assert not [p for p in tmp_path.rglob(".flowdpp-*")]
 
 
 class TestSimulateCommand:

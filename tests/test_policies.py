@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from flowdpp import policies, sim
-from flowdpp.controller import ControllerConfig, ModelChoice, StepObservation
+from flowdpp.controller import ACTIONS, ControllerConfig, ModelChoice, StepObservation
 from flowdpp.policies import (
     ACTION_INDEX,
-    INDEX_ACTION,
     AdamState,
     AlwaysPolicy,
     DppPolicy,
@@ -290,9 +289,10 @@ class TestFlopsAndState:
 
     def test_policy_state_layout(self):
         cfg = ControllerConfig()
-        state = make_policy_state(2.0, 3.99, 3.64, 2.41, 1.005, cfg)
-        np.testing.assert_allclose(
-            state, [2.0, 3.99, 3.64, 2.41, 1.005, 3.64, 2.41, 30.0, 1.005, 90.0]
+        # the previous step's b fills two entries
+        state = make_policy_state(2.0, (3.99, 2.5, 1.125), cfg)
+        np.testing.assert_array_equal(
+            state, [2.0, 3.99, 2.5, 2.5, 1.125, 3.64, 2.41, 30.0, 1.005, 90.0], strict=True
         )
 
     def test_compress_state_range_and_sign(self):
@@ -354,28 +354,25 @@ class TestPolicies:
     def test_always_policies_constant(self):
         cfg = ControllerConfig()
         rng = np.random.default_rng(0)
-        state = np.zeros(10)
+        prev = (2.0, 2.4, 1.0)
         always_h = AlwaysPolicy(ModelChoice.H)
         always_t = AlwaysPolicy(ModelChoice.T)
         for _ in range(5):
-            assert always_h.decide(3.0, self.obs(), cfg, state, rng) is ModelChoice.H
-            assert always_t.decide(3.0, self.obs(), cfg, state, rng) is ModelChoice.T
-        assert always_h.kind is PolicyKind.ALWAYS_H
-        assert always_t.kind is PolicyKind.ALWAYS_T
+            assert always_h.decide(3.0, prev, self.obs(), cfg, rng) is ModelChoice.H
+            assert always_t.decide(3.0, prev, self.obs(), cfg, rng) is ModelChoice.T
         assert always_h.flops_per_decision() == 0
 
     def test_dpp_policy_delegates(self):
         cfg = ControllerConfig()
         policy = DppPolicy()
-        assert policy.decide(0.0, StepObservation(2, 2), cfg, None, None) is ModelChoice.H
+        assert policy.decide(0.0, None, StepObservation(2, 2), cfg, None) is ModelChoice.H
         assert policy.flops_per_decision() == 9
 
     def test_reinforce_policy_samples_both_actions(self):
         policy = ReinforcePolicy(seed=0)
         rng = np.random.default_rng(0)
         cfg = ControllerConfig()
-        state = make_policy_state(1.0, 2.0, 2.4, 2.4, 1.0, cfg)
-        seen = {policy.decide(1.0, self.obs(), cfg, state, rng) for _ in range(200)}
+        seen = {policy.decide(1.0, (2.0, 2.4, 1.0), self.obs(), cfg, rng) for _ in range(200)}
         assert seen == {ModelChoice.H, ModelChoice.T}
         assert policy.flops_per_decision() == 35_840
 
@@ -390,12 +387,13 @@ class TestPolicies:
         seen = [set() for _ in learners]
         for draw in range(12_000):
             which = draw % len(learners)
-            state = make_policy_state(*state_rng.uniform(0.0, 20.0, size=5), cfg)
+            q, *prev = state_rng.uniform(0.0, 20.0, size=4).tolist()
+            state = make_policy_state(q, prev, cfg)
             probs, _ = mlp_forward(learners[which].params, compress_state(state))
             if which >= 3:
                 assert probs.tolist() in ([1.0, 0.0], [0.0, 1.0])
-            want = INDEX_ACTION[twin.choice(2, p=probs)]
-            got = learners[which].decide(0.0, self.obs(), cfg, state, rng)
+            want = ACTIONS[twin.choice(2, p=probs)]
+            got = learners[which].decide(q, prev, self.obs(), cfg, rng)
             assert got is want, draw
             seen[which].add(got)
         both = {ModelChoice.H, ModelChoice.T}
@@ -412,7 +410,7 @@ class TestPolicies:
             assert probs[0] + probs[1] == 1.0
             monkeypatch.setattr(policies, "mlp_forward", lambda params, state: (probs, None))
             assert twin.choice(2, p=probs) == 1
-            assert learner.decide(0.0, self.obs(), cfg, np.zeros(10), rng) is ModelChoice.T
+            assert learner.decide(0.0, (0.0, 0.0, 0.0), self.obs(), cfg, rng) is ModelChoice.T
 
     def test_uniform_policy_is_seed_deterministic(self):
         cfg = ControllerConfig()
@@ -420,7 +418,7 @@ class TestPolicies:
         for _ in range(2):
             rng = np.random.default_rng(42)
             policy = UniformRandomPolicy()
-            draws.append([policy.decide(0.0, self.obs(), cfg, None, rng) for _ in range(20)])
+            draws.append([policy.decide(0.0, None, self.obs(), cfg, rng) for _ in range(20)])
         assert draws[0] == draws[1]
         assert set(draws[0]) == {ModelChoice.H, ModelChoice.T}
 

@@ -4,7 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from flowdpp import sim
+from flowdpp import policies, sim
 from flowdpp.config import ConfigError, parse_config
 from flowdpp.controller import (
     ControllerConfig,
@@ -23,9 +23,9 @@ from flowdpp.policies import (
     AlwaysPolicy,
     DppPolicy,
     PolicyKind,
+    ReinforcePolicy,
     UniformRandomPolicy,
     make_policy,
-    make_policy_state,
 )
 from flowdpp import flowmap
 
@@ -79,8 +79,7 @@ def reference_frame(scenario, rng, t, regime):
         flow += sc.flow_noise * rng.standard_normal(flow.shape)
 
     conf = np.zeros((sc.grid_rows, sc.grid_cols, sc.boxes_per_cell))
-    boxes = np.zeros(conf.shape + (4,))
-    boxes[..., 2:] = 0.01  # degenerate filler geometry for unused slots
+    boxes = np.zeros(conf.shape + (4,))  # unused slots keep an all-zero box
     truth = []
     used = np.zeros((sc.grid_rows, sc.grid_cols), dtype=int)
     for _ in range(count):
@@ -239,6 +238,21 @@ class TestEmulateDetector:
             for d in dets_t:
                 assert (d.row, d.col) in cells_h
 
+    def test_unused_slot_boxes_are_never_read(self):
+        # an unused slot has conf 0, below every threshold, so its box is
+        # never admitted, suppressed or scored
+        sc = DIFFERENTIAL_SCENARIOS["low confidences"]
+        admitted = 0
+        for frame in generated_frames(sc):
+            boxes = frame.grid.boxes.copy()
+            boxes[frame.grid.conf == 0.0] = 1e300
+            poisoned = dataclasses.replace(frame, grid=ConfidenceGrid(frame.grid.conf, boxes))
+            for alpha in (ModelChoice.H, ModelChoice.T):
+                dets = sim.emulate_detector(frame, alpha, sc)
+                assert sim.emulate_detector(poisoned, alpha, sc) == dets
+                admitted += dets[1]
+        assert admitted > 0
+
     def test_hybrid_detects_at_least_as_many_post_nms(self):
         for seed in range(30):
             sc, frame = self.make_frame(seed)
@@ -345,9 +359,26 @@ class TestRun:
             assert alpha is chosen
             assert reward == dpp_score(alpha, q, frame_observation(frame, sc), cfg)
             # the policy sees the previous step's b twice
-            expected = make_policy_state(q, prev_a, prev_b, prev_b, prev_perf, cfg)
-            np.testing.assert_array_equal(state, expected, strict=True)
+            expected = [q, prev_a, prev_b, prev_b, prev_perf,
+                        cfg.w1, cfg.w2, cfg.w_fps, cfg.w_p, cfg.v]
+            np.testing.assert_array_equal(state, np.array(expected), strict=True)
             prev_a, prev_b, prev_perf = result.a[t], result.b[t], result.perf[t]
+
+    def test_only_reinforce_builds_a_state(self, monkeypatch):
+        # DPP, the static policies and uniform never see a REINFORCE state
+        def refuse(*args):
+            raise RuntimeError("make_policy_state called")
+
+        monkeypatch.setattr(policies, "make_policy_state", refuse)
+        monkeypatch.setattr(sim, "make_policy_state", refuse)
+        sc = tiny_scenario()
+        for policy in (DppPolicy(), AlwaysPolicy(ModelChoice.H), AlwaysPolicy(ModelChoice.T),
+                       UniformRandomPolicy()):
+            assert len(sim.run(sc, policy)) == sc.horizon
+        with pytest.raises(RuntimeError, match="make_policy_state"):
+            sim.run(sc, ReinforcePolicy())
+        with pytest.raises(RuntimeError, match="make_policy_state"):
+            sim.run(sc, DppPolicy(), collect=[])
 
     def test_seed_changes_frames(self, consumed):
         sc = tiny_scenario()
@@ -433,6 +464,17 @@ class TestTrainReinforce:
         assert runs[0][0] == runs[1][0]
         for a, b in zip(runs[0][1], runs[1][1]):
             np.testing.assert_array_equal(a, b)
+
+    def test_scenario_seed_is_not_read(self):
+        # every episode is seeded with (seed, ep), never with scenario.seed
+        runs = []
+        for scenario_seed in (0, 12345):
+            sc = tiny_scenario(horizon=10, seed=scenario_seed)
+            policy, rewards = sim.train_reinforce(sc, episodes=3, seed=7)
+            runs.append((rewards, policy.params.arrays()))
+        assert runs[0][0] == runs[1][0]
+        for a, b in zip(runs[0][1], runs[1][1]):
+            np.testing.assert_array_equal(a, b, strict=True)
 
     def test_episode_len_override(self):
         sc = tiny_scenario(horizon=50)
