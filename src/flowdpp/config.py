@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .controller import ControllerConfig, ModelChoice
-from .policies import PolicyKind
+from .policies import DISCOUNT, LEARNING_RATE, PolicyKind
 from .sim import CPU_LATENCY, GPU_LATENCY, ScenarioConfig
 
 __all__ = ["RunConfig", "ConfigError", "load_config", "save_config", "parse_config"]
@@ -24,8 +24,8 @@ class RunConfig:
     controller: ControllerConfig = ControllerConfig()
     policy: PolicyKind = PolicyKind.DPP
     out_dir: str = "out"
-    reinforce_lr: float = 2e-4
-    reinforce_gamma: float = 0.99
+    reinforce_lr: float = LEARNING_RATE
+    reinforce_gamma: float = DISCOUNT
     reinforce_train_episodes: int = 50
     reinforce_episode_len: int = 50
     trace: str = ""
@@ -137,8 +137,10 @@ def parse_config(parser, source="<config>"):
 def load_config(path):
     parser = configparser.ConfigParser()
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             parser.read_file(f, source=str(path))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: byte {exc.start}: {exc.reason}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     return parse_config(parser, source=str(path))
@@ -153,5 +155,5 @@ def save_config(cfg, path):
     parser["scenario"] = {
         f.name: _format(getattr(cfg.scenario, f.name)) for f in fields(ScenarioConfig)
     }
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         parser.write(f)

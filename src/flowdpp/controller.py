@@ -13,7 +13,7 @@ for large Q it maximizes service.
 
 import enum
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 __all__ = [
     "ModelChoice",
@@ -25,16 +25,8 @@ __all__ = [
     "performance",
     "dpp_score",
     "dpp_select",
-    "lyapunov",
-    "drift_bound_check",
-    "DriftBoundReport",
     "dpp_flops",
-    "REFERENCE_DPP_FLOPS",
 ]
-
-# Per-decision cost reported for the original system; see dpp_flops() for the
-# convention used by this implementation.
-REFERENCE_DPP_FLOPS = 12
 
 
 class ModelChoice(enum.Enum):
@@ -141,60 +133,12 @@ def dpp_select(q, obs, cfg):
     return cfg.tie_break
 
 
-def lyapunov(q):
-    """Quadratic potential Q^2 / 2."""
-    if q < 0:
-        raise ValueError("q must be >= 0")
-    return 0.5 * q * q
-
-
-@dataclass
-class DriftBoundReport:
-    steps: int = 0
-    violations: list = field(default_factory=list)  # step indices
-    max_slack: float = 0.0
-    min_slack: float = float("inf")
-
-    @property
-    def ok(self):
-        return not self.violations
-
-
-def drift_bound_check(trajectory, tol=1e-9):
-    """Verify the per-step Lyapunov drift bound on a simulated trajectory.
-
-    Each element of trajectory is (q, a, b) observed before the update.  The
-    check is L(Q') - L(Q) <= (a^2 + b^2)/2 + Q*(a - b) with Q' from
-    queue_update; slack is bound minus actual drift (>= 0, with equality when
-    the max-with-zero never clamps).
-    """
-    report = DriftBoundReport()
-    for step, (q, a, b) in enumerate(trajectory):
-        q_next = queue_update(q, a, b)
-        drift = lyapunov(q_next) - lyapunov(q)
-        bound = 0.5 * (a * a + b * b) + q * (a - b)
-        slack = bound - drift
-        report.steps += 1
-        report.max_slack = max(report.max_slack, slack)
-        report.min_slack = min(report.min_slack, slack)
-        # the drift is a difference of two Q^2/2 terms, so its rounding error
-        # scales with the potential itself; make tol relative to that
-        scale = max(1.0, abs(bound), abs(drift), lyapunov(q))
-        if slack < -tol * scale:
-            report.violations.append(step)
-    if report.steps == 0:
-        report.min_slack = 0.0
-    return report
-
-
-def dpp_flops(num_actions=2):
+def dpp_flops():
     """FLOPs of one dpp_select under the documented convention.
 
     Convention: every multiply, add, and compare counts as one FLOP.  Per
     action the score costs one multiply for the weighted performance, two
-    multiplies for V*P and Q*b, and one add; the argmax over n actions costs
-    n - 1 compares.  Independent of Q and linear in the action count.
+    multiplies for V*P and Q*b, and one add; the argmax over the two actions
+    costs one compare.  Independent of Q.
     """
-    if num_actions < 1:
-        raise ValueError("num_actions must be >= 1")
-    return 4 * num_actions + (num_actions - 1)
+    return 4 * len(ACTIONS) + (len(ACTIONS) - 1)

@@ -31,13 +31,17 @@ def read_flo(path):
     """Read a .flo file into a writable (h, w, 2) float32 array of (u, v)
     vectors; the payload is read straight into it, with no second copy."""
     with open(path, "rb") as f:
-        magic = np.frombuffer(f.read(4), dtype="<f4")
-        if magic.size != 1 or magic[0] != FLO_MAGIC:
+        # each read's length is checked before frombuffer sees it, which
+        # rejects a partial element without naming the file
+        magic = f.read(4)
+        if len(magic) != 4 or np.frombuffer(magic, dtype="<f4")[0] != FLO_MAGIC:
             raise ValueError(f"{path}: not a .flo file (bad magic)")
-        dims = np.frombuffer(f.read(8), dtype="<i4")
-        if dims.size != 2 or dims[0] < 1 or dims[1] < 1:
+        dims = f.read(8)
+        if len(dims) != 8:
             raise ValueError(f"{path}: truncated or invalid .flo header")
-        w, h = int(dims[0]), int(dims[1])
+        w, h = np.frombuffer(dims, dtype="<i4").tolist()
+        if w < 1 or h < 1:
+            raise ValueError(f"{path}: truncated or invalid .flo header")
         # a regular file's size is checked first, so a corrupt header cannot
         # ask for a huge array; a pipe has no size, only the count check
         st = os.fstat(f.fileno())

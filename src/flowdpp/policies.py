@@ -29,7 +29,6 @@ __all__ = [
     "mlp_forward",
     "compress_state",
     "make_policy_state",
-    "episode_objective",
     "policy_gradient",
     "reinforce_update",
     "reinforce_flops",
@@ -37,10 +36,16 @@ __all__ = [
     "DppPolicy",
     "AlwaysPolicy",
     "ReinforcePolicy",
-    "REFERENCE_REINFORCE_FLOPS",
+    "UniformRandomPolicy",
 ]
 
-REFERENCE_REINFORCE_FLOPS = 35_582
+# REINFORCE training defaults: the Adam step size and the return discount
+LEARNING_RATE = 2e-4
+DISCOUNT = 0.99
+# Adam's moment decay rates and denominator guard
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 STATE_SIZE = 10
 HIDDEN_SIZE = 128
@@ -127,11 +132,27 @@ def mlp_forward(params, state):
     return exp / exp.sum(), (s, h1, h2, logits)
 
 
+def compress_state(x):
+    """x / (1 + |x|) of a float, or elementwise of an array, mapping raw state
+    values into (-1, 1).
+
+    The raw state mixes scales (backlog in frames, V around 90, weights
+    around 3); feeding it directly saturates the softmax for many random
+    initializations, which kills exploration at the pinned learning rate.
+    """
+    return x / (1.0 + abs(x))
+
+
 def make_policy_state(q, prev, cfg):
-    """10-entry state from q and the previous step's (a, b, perf): q, a, b twice,
-    perf, then w1, w2, w_fps, w_p and V.  No other code knows this layout."""
+    """The network's 10-entry input from q and the previous step's (a, b, perf):
+    q, a, b twice, perf, then w1, w2, w_fps, w_p and V, each passed through
+    compress_state.  No other code knows this layout or applies the transform.
+
+    The entries are compressed as floats, which gives the same bits as the
+    array form and costs less on 10 entries."""
     a, b, perf = prev
-    return np.array([q, a, b, b, perf, cfg.w1, cfg.w2, cfg.w_fps, cfg.w_p, cfg.v], dtype=float)
+    raw = (q, a, b, b, perf, cfg.w1, cfg.w2, cfg.w_fps, cfg.w_p, cfg.v)
+    return np.array([compress_state(x) for x in raw])
 
 
 def _normalized_returns(episode, gamma):
@@ -159,17 +180,10 @@ def _episode_arrays(params, episode, gamma):
     return states, actions, _normalized_returns(episode, gamma)
 
 
-def episode_objective(params, episode, gamma=0.99):
-    """REINFORCE objective sum_t log pi(a_t | s_t) * G_t (normalized returns);
-    the analytic gradient of this quantity is what policy_gradient returns."""
-    states, actions, returns = _episode_arrays(params, episode, gamma)
-    probs = _forward(params, states)[0]
-    return float(np.log(probs[np.arange(len(actions)), actions]) @ returns)
-
-
-def policy_gradient(params, episode, gamma=0.99):
-    """Analytic gradient of episode_objective with respect to every layer,
-    as matrix products over the whole episode.
+def policy_gradient(params, episode, gamma=DISCOUNT):
+    """Analytic gradient of the REINFORCE objective sum_t log pi(a_t | s_t) * G_t
+    (normalized returns) with respect to every layer, as matrix products over
+    the whole episode.
 
     Returns a list of arrays matching MlpParams.arrays() order.
     """
@@ -201,8 +215,7 @@ class AdamState:
         )
 
 
-def reinforce_update(params, episode, lr=2e-4, gamma=0.99, opt=None,
-                     beta1=0.9, beta2=0.999, eps=1e-8):
+def reinforce_update(params, episode, lr=LEARNING_RATE, gamma=DISCOUNT, opt=None):
     """One REINFORCE + Adam ascent step on an episode of (state, action,
     reward) triples.  Returns (new params, new optimizer state); the inputs
     are not mutated.
@@ -213,11 +226,11 @@ def reinforce_update(params, episode, lr=2e-4, gamma=0.99, opt=None,
     step = opt.step + 1
     new_arrays, new_m, new_v = [], [], []
     for a, g, m, v in zip(params.arrays(), grads, opt.m, opt.v):
-        m = beta1 * m + (1.0 - beta1) * g
-        v = beta2 * v + (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1**step)
-        v_hat = v / (1.0 - beta2**step)
-        new_arrays.append(a + lr * m_hat / (np.sqrt(v_hat) + eps))
+        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
+        m_hat = m / (1.0 - ADAM_BETA1**step)
+        v_hat = v / (1.0 - ADAM_BETA2**step)
+        new_arrays.append(a + lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
         new_m.append(m)
         new_v.append(v)
     return MlpParams(*new_arrays), AdamState(new_m, new_v, step)
@@ -252,23 +265,9 @@ class AlwaysPolicy:
         return 0
 
 
-def compress_state(state):
-    """Elementwise x / (1 + |x|), mapping raw state values into (-1, 1).
-
-    The raw state mixes scales (backlog in frames, V around 90, weights
-    around 3); feeding it directly saturates the softmax for many random
-    initializations, which kills exploration at the pinned learning rate.
-    """
-    state = np.asarray(state, dtype=np.float64)
-    return state / (1.0 + np.abs(state))
-
-
 class ReinforcePolicy:
-    """Samples actions from the MLP policy distribution.
-
-    Raw state vectors are compressed with compress_state before the forward
-    pass; the same transform is applied when updating from an episode.
-    """
+    """Samples actions from the MLP policy distribution over the input
+    make_policy_state builds; an episode's states are that same input."""
 
     def __init__(self, params=None, seed=0):
         if params is None:
@@ -277,15 +276,13 @@ class ReinforcePolicy:
         self.opt = AdamState.zeros_like(params)
 
     def decide(self, q, prev, obs, cfg, rng):
-        probs, _ = mlp_forward(self.params, compress_state(make_policy_state(q, prev, cfg)))
+        probs, _ = mlp_forward(self.params, make_policy_state(q, prev, cfg))
         p_h, p_t = probs.tolist()
         # rng.choice(2, p=probs) without its input checks: one uniform draw
         # against the normalized CDF, so the same stream gives the same action
         return ACTIONS[int(rng.random() >= p_h / (p_h + p_t))]
 
-    def update(self, episode, lr=2e-4, gamma=0.99):
-        states = compress_state([s for (s, _, _) in episode])
-        episode = [(s, a, r) for s, (_, a, r) in zip(states, episode)]
+    def update(self, episode, lr, gamma):
         self.params, self.opt = reinforce_update(
             self.params, episode, lr=lr, gamma=gamma, opt=self.opt
         )

@@ -27,7 +27,7 @@ from .controller import (
     performance,
 )
 from .detection import ConfidenceGrid, nms, score_against_truth, threshold_detections
-from .policies import ReinforcePolicy, make_policy_state
+from .policies import DISCOUNT, LEARNING_RATE, ReinforcePolicy, make_policy_state
 
 __all__ = [
     "CPU_LATENCY", "GPU_LATENCY", "ScenarioConfig", "FrameObservation", "FrameGenerator",
@@ -281,10 +281,6 @@ class SimResult:
         """The backlog each step started from."""
         return np.concatenate(([0.0], self.q[:-1]))
 
-    def trajectory(self):
-        """(Q before update, a, b) per step, for the drift-bound check."""
-        return list(zip(self.q_before.tolist(), self.a.tolist(), self.b.tolist()))
-
 
 def step(q, prev, frame, policy, scenario, cfg, rng, collect=None):
     """Advance the queue one step under the policy's decision on this frame.
@@ -400,7 +396,7 @@ def benchmark_config(seed=0, horizon=3000):
 
 
 def train_reinforce(scenario, cfg=None, episodes=200, episode_len=None, seed=0,
-                    lr=2e-4, gamma=0.99, policy=None):
+                    lr=LEARNING_RATE, gamma=DISCOUNT, policy=None):
     """Train a REINFORCE policy by running whole-episode simulations.
 
     Each episode is one fixed-horizon run; the per-step reward is the plain

@@ -83,6 +83,21 @@ class TestFlo:
         with pytest.raises(ValueError, match="truncated .flo payload"):
             fileio.read_flo(path)
 
+    # a file shorter than the header, cut inside the magic, the width or the
+    # height: the error names the file, as every other .flo error does
+    @pytest.mark.parametrize("size", [1, 2, 3, 5, 6, 7, 9, 10, 11])
+    def test_short_header(self, tmp_path, capsys, size):
+        path = tmp_path / "short.flo"
+        fileio.write_flo(path, np.ones((2, 3, 2), dtype=np.float32))
+        path.write_bytes(path.read_bytes()[:size])
+        error = "not a .flo file (bad magic)" if size < 4 else "truncated or invalid .flo header"
+        with pytest.raises(ValueError) as info:
+            fileio.read_flo(path)
+        assert str(info.value) == f"{path}: {error}"
+        assert main(["process-flow", str(path), "--out", str(tmp_path / "t.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {error}\n"
+        assert not (tmp_path / "t.csv").exists()
+
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_reads_through_a_named_pipe(self, tmp_path):
         # a pipe has no size to check up front; the payload is larger than
@@ -384,6 +399,17 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "horizon must be >= 1" in err
         assert not out_dir.exists()
+
+    def test_config_not_utf8_exits_2(self, tmp_path, capsys):
+        # a UTF-16 byte order mark, as some editors save an INI file
+        cfg_path = tmp_path / "run.ini"
+        cfg_path.write_bytes(b"\xff\xfe" + "[run]\n".encode("utf-16-le"))
+        with pytest.raises(ConfigError, match="not UTF-8"):
+            load_config(cfg_path)
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg_path}: not UTF-8 text")
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "none.ini")]) == 2

@@ -1,5 +1,3 @@
-import struct
-
 import numpy as np
 import pytest
 
@@ -15,7 +13,6 @@ from flowdpp.policies import (
     ReinforcePolicy,
     UniformRandomPolicy,
     compress_state,
-    episode_objective,
     init_mlp,
     make_policy,
     make_policy_state,
@@ -24,6 +21,7 @@ from flowdpp.policies import (
     reinforce_flops,
     reinforce_update,
 )
+from oracles import forward_oracle, objective_oracle, returns_oracle
 
 
 def small_params(seed=0, sizes=(4, 5, 5, 2)):
@@ -46,34 +44,6 @@ def random_episode(rng, params, length=6):
         action = ModelChoice.H if rng.random() < 0.5 else ModelChoice.T
         episode.append((state, action, rng.normal()))
     return episode
-
-
-def forward_oracle(params, state):
-    """Independent straight-line matrix-vector forward pass; returns (probs,
-    h1, h2, logits)."""
-    h1 = np.maximum(params.w1 @ state + params.b1, 0.0)
-    h2 = np.maximum(params.w2 @ h1 + params.b2, 0.0)
-    logits = params.w3 @ h2 + params.b3
-    shifted = logits - logits.max()
-    exp = np.exp(shifted)
-    return exp / exp.sum(), h1, h2, logits
-
-
-def returns_oracle(episode, gamma):
-    returns, acc = [], 0.0
-    for (_, _, r) in reversed(episode):
-        acc = r + gamma * acc
-        returns.append(acc)
-    return np.array(returns[::-1]) / len(episode)
-
-
-def objective_oracle(params, episode, gamma=0.99):
-    """Per-step sum of log pi(a_t | s_t) * G_t."""
-    total = 0.0
-    for (state, action, _), g in zip(episode, returns_oracle(episode, gamma)):
-        probs = forward_oracle(params, state)[0]
-        total += np.log(probs[ACTION_INDEX[action]]) * g
-    return total
 
 
 def gradient_oracle(params, episode, gamma=0.99):
@@ -187,9 +157,9 @@ class TestPolicyGradient:
                 idx = np.unravel_index(fi, arr.shape)
                 bumped = params.copy()
                 bumped.arrays()[layer][idx] += h
-                plus = episode_objective(bumped, episode)
+                plus = objective_oracle(bumped, episode)
                 bumped.arrays()[layer][idx] -= 2 * h
-                minus = episode_objective(bumped, episode)
+                minus = objective_oracle(bumped, episode)
                 fd = (plus - minus) / (2 * h)
                 scale = max(abs(fd), abs(grad[idx]), 1e-8)
                 assert abs(fd - grad[idx]) / scale < 1e-4, (layer, idx)
@@ -204,9 +174,6 @@ class TestPolicyGradient:
         for got, want in zip(policy_gradient(params, episode), gradient_oracle(params, episode)):
             assert got.shape == want.shape
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
-        np.testing.assert_allclose(
-            episode_objective(params, episode), objective_oracle(params, episode), rtol=1e-12
-        )
 
     def test_rejects_empty_episode(self):
         with pytest.raises(ValueError):
@@ -214,9 +181,8 @@ class TestPolicyGradient:
 
     def test_rejects_wrong_state_size(self):
         episode = [(np.zeros(4), ModelChoice.H, 1.0), (np.zeros(3), ModelChoice.T, 1.0)]
-        for fn in (policy_gradient, episode_objective):
-            with pytest.raises(ValueError):
-                fn(small_params(), episode)
+        with pytest.raises(ValueError):
+            policy_gradient(small_params(), episode)
 
     def test_zero_return_episode_has_zero_gradient(self):
         params = small_params(5)
@@ -244,7 +210,7 @@ class TestReinforceUpdate:
         params = small_params(13)
         episode = random_episode(rng, params)
         new, _ = reinforce_update(params, episode, lr=1e-3)
-        assert episode_objective(new, episode) > episode_objective(params, episode)
+        assert objective_oracle(new, episode) > objective_oracle(params, episode)
 
     def test_zero_gradient_step_is_noop_direction(self):
         params = small_params(17)
@@ -289,62 +255,18 @@ class TestFlopsAndState:
 
     def test_policy_state_layout(self):
         cfg = ControllerConfig()
-        # the previous step's b fills two entries
+        # the previous step's b fills two entries, and every entry x enters
+        # the network as x / (1 + |x|)
         state = make_policy_state(2.0, (3.99, 2.5, 1.125), cfg)
-        np.testing.assert_array_equal(
-            state, [2.0, 3.99, 2.5, 2.5, 1.125, 3.64, 2.41, 30.0, 1.005, 90.0], strict=True
-        )
+        raw = np.array([2.0, 3.99, 2.5, 2.5, 1.125, 3.64, 2.41, 30.0, 1.005, 90.0])
+        np.testing.assert_array_equal(state, raw / (1.0 + np.abs(raw)), strict=True)
 
     def test_compress_state_range_and_sign(self):
         x = np.array([-90.0, -1.0, 0.0, 1.0, 500.0])
         y = compress_state(x)
         assert np.all(np.abs(y) < 1.0)
         np.testing.assert_array_equal(np.sign(y), np.sign(x))
-        np.testing.assert_allclose(compress_state([1.0]), [0.5])
-
-
-_MAGIC = b"FGMLP1"
-
-
-def save_mlp(params, path):
-    """Flat binary format: magic "FGMLP1", four int32 LE layer sizes, then
-    w1, b1, w2, b2, w3, b3 row-major as float64 LE."""
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<4i", *params.layer_sizes))
-        for a in params.arrays():
-            f.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
-
-
-def load_mlp(path):
-    with open(path, "rb") as f:
-        magic = f.read(len(_MAGIC))
-        if magic != _MAGIC:
-            raise ValueError(f"bad MLP file magic: {magic!r}")
-        sizes = struct.unpack("<4i", f.read(16))
-        arrays = []
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            w = np.frombuffer(f.read(8 * fan_in * fan_out), dtype="<f8")
-            arrays.append(w.reshape(fan_out, fan_in).astype(np.float64))
-            b = np.frombuffer(f.read(8 * fan_out), dtype="<f8")
-            arrays.append(b.astype(np.float64))
-        return MlpParams(*arrays)
-
-
-class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        params = init_mlp(np.random.default_rng(23))
-        path = tmp_path / "policy.mlp"
-        save_mlp(params, path)
-        loaded = load_mlp(path)
-        for a, b in zip(params.arrays(), loaded.arrays()):
-            np.testing.assert_array_equal(a, b)
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "bogus.mlp"
-        path.write_bytes(b"NOTMLP" + b"\x00" * 64)
-        with pytest.raises(ValueError):
-            load_mlp(path)
+        assert compress_state(1.0) == 0.5
 
 
 class TestPolicies:
@@ -388,8 +310,7 @@ class TestPolicies:
         for draw in range(12_000):
             which = draw % len(learners)
             q, *prev = state_rng.uniform(0.0, 20.0, size=4).tolist()
-            state = make_policy_state(q, prev, cfg)
-            probs, _ = mlp_forward(learners[which].params, compress_state(state))
+            probs, _ = mlp_forward(learners[which].params, make_policy_state(q, prev, cfg))
             if which >= 3:
                 assert probs.tolist() in ([1.0, 0.0], [0.0, 1.0])
             want = ACTIONS[twin.choice(2, p=probs)]

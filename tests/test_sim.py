@@ -13,7 +13,6 @@ from flowdpp.controller import (
     arrival,
     dpp_score,
     dpp_select,
-    drift_bound_check,
     performance,
     queue_update,
     service,
@@ -28,6 +27,7 @@ from flowdpp.policies import (
     make_policy,
 )
 from flowdpp import flowmap
+from oracles import drift_bound_check, trajectory
 
 
 def tiny_scenario(**overrides):
@@ -304,7 +304,7 @@ class TestRun:
         sc = tiny_scenario(horizon=200)
         for kind in (PolicyKind.DPP, PolicyKind.ALWAYS_H, PolicyKind.ALWAYS_T):
             result = sim.run(sc, make_policy(kind))
-            assert drift_bound_check(result.trajectory()).ok
+            assert drift_bound_check(trajectory(result)).ok
 
     def test_uncoupled_arrivals_follow_plain_detector(self, consumed):
         sc = tiny_scenario(couple_arrival=False)
@@ -358,10 +358,11 @@ class TestRun:
         for t, (frame, chosen, q, (state, alpha, reward)) in enumerate(rows):
             assert alpha is chosen
             assert reward == dpp_score(alpha, q, frame_observation(frame, sc), cfg)
-            # the policy sees the previous step's b twice
-            expected = [q, prev_a, prev_b, prev_b, prev_perf,
-                        cfg.w1, cfg.w2, cfg.w_fps, cfg.w_p, cfg.v]
-            np.testing.assert_array_equal(state, np.array(expected), strict=True)
+            # the policy sees the previous step's b twice, each entry x as
+            # x / (1 + |x|)
+            raw = np.array([q, prev_a, prev_b, prev_b, prev_perf,
+                            cfg.w1, cfg.w2, cfg.w_fps, cfg.w_p, cfg.v])
+            np.testing.assert_array_equal(state, raw / (1.0 + np.abs(raw)), strict=True)
             prev_a, prev_b, prev_perf = result.a[t], result.b[t], result.perf[t]
 
     def test_only_reinforce_builds_a_state(self, monkeypatch):
