@@ -65,8 +65,18 @@ def write_flo(path, flow):
         f.write(np.ascontiguousarray(flow).tobytes())
 
 
+def _utf8_lines(path):
+    """The lines of a text file read as UTF-8; bytes that are not UTF-8 are
+    an error naming the file."""
+    with open(path, newline="", encoding="utf-8") as f:
+        try:
+            yield from f
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text: {exc.reason}") from exc
+
+
 def read_matrix_csv(path):
-    arr = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
+    arr = np.loadtxt(_utf8_lines(path), delimiter=",", ndmin=2, dtype=np.float64)
     if arr.size == 0:
         raise ValueError(f"{path}: empty matrix")
     return arr
@@ -85,10 +95,10 @@ def load_flow_map(path):
     return read_matrix_csv(path)
 
 
-def _csv_rows(f, path, header):
-    """Rows of a CSV file as (line number, dict) pairs; its header and each
-    row's width must match header."""
-    reader = csv.DictReader(f)
+def _csv_rows(path, header):
+    """Rows of a UTF-8 CSV file as (line number, dict) pairs; its header and
+    each row's width must match header."""
+    reader = csv.DictReader(_utf8_lines(path))
     if reader.fieldnames != header:
         raise ValueError(f"{path}: expected header {header}, got {reader.fieldnames}")
     for row in reader:
@@ -122,7 +132,7 @@ GRID_HEADER = ["i", "j", "k", "conf", "cx", "cy", "w", "h"]
 
 
 def save_grid_csv(path, grid):
-    with open(path, "w", newline="") as f:
+    with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(GRID_HEADER)
         rows, cols, k = grid.shape
@@ -138,15 +148,14 @@ def save_grid_csv(path, grid):
 def load_grid_csv(path):
     """Load a confidence grid; each (i, j, k) cell entry must appear once."""
     entries = {}
-    with open(path, newline="") as f:
-        for line, row in _csv_rows(f, path, GRID_HEADER):
-            key = tuple(_count(path, line, row, name) for name in ("i", "j", "k"))
-            if key in entries:
-                raise ValueError(f"{path}: line {line}: duplicate entry i, j, k = {key}")
-            entries[key] = (
-                _number(path, line, row, "conf"),
-                tuple(_number(path, line, row, name) for name in ("cx", "cy", "w", "h")),
-            )
+    for line, row in _csv_rows(path, GRID_HEADER):
+        key = tuple(_count(path, line, row, name) for name in ("i", "j", "k"))
+        if key in entries:
+            raise ValueError(f"{path}: line {line}: duplicate entry i, j, k = {key}")
+        entries[key] = (
+            _number(path, line, row, "conf"),
+            tuple(_number(path, line, row, name) for name in ("cx", "cy", "w", "h")),
+        )
     if not entries:
         raise ValueError(f"{path}: no grid entries")
     shape = tuple(max(key[axis] for key in entries) + 1 for axis in range(3))
@@ -174,26 +183,17 @@ def load_trace(path):
 
     base = Path(os.path.dirname(os.path.abspath(path)))
     frames = []
-    with open(path, newline="") as f:
-        for line, row in _csv_rows(f, path, TRACE_HEADER):
-            t = _count(path, line, row, "t")
-            num_objects = _count(path, line, row, "num_objects")
-            flow_path = base / row["flow_file"]
-            try:
-                flow = check_flow_map(load_flow_map(flow_path))
-            except ValueError as exc:
-                raise ValueError(f"{flow_path}: {exc}") from exc
-            grid = load_grid_csv(base / row["conf_file"])
-            frames.append(
-                FrameObservation(
-                    t=t,
-                    regime=row["regime"],
-                    truth_boxes=[],
-                    flow=flow,
-                    grid=grid,
-                    declared_objects=num_objects,
-                )
-            )
+    for line, row in _csv_rows(path, TRACE_HEADER):
+        t = _count(path, line, row, "t")
+        num_objects = _count(path, line, row, "num_objects")
+        flow_path = base / row["flow_file"]
+        try:
+            flow = check_flow_map(load_flow_map(flow_path))
+        except ValueError as exc:
+            raise ValueError(f"{flow_path}: {exc}") from exc
+        grid = load_grid_csv(base / row["conf_file"])
+        frames.append(FrameObservation(t=t, regime=row["regime"], truth_boxes=[], flow=flow,
+                                       grid=grid, declared_objects=num_objects))
     if not frames:
         raise ValueError(f"{path}: no trace rows")
     return frames

@@ -290,6 +290,15 @@ class TestProcessFlowCommand:
         assert not out.exists()
         assert "error:" in capsys.readouterr().err
 
+    def test_matrix_csv_not_utf8_exits_2(self, tmp_path, capsys):
+        # a UTF-16 byte order mark, as some editors save a CSV file
+        src = tmp_path / "flow.csv"
+        src.write_bytes(b"\xff\xfe" + "1,2\n3,4\n".encode("utf-16-le"))
+        out = tmp_path / "t.csv"
+        assert main(["process-flow", str(src), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {src}: not UTF-8 text")
+        assert not out.exists()
+
     def test_missing_input_exits_2(self, tmp_path, capsys):
         rc = main(["process-flow", str(tmp_path / "nope.flo"), "--out", str(tmp_path / "o.csv")])
         assert rc == 2
@@ -723,6 +732,18 @@ class TestTraceInputErrors:
         trace_path = self.write_trace(tmp_path, flow_text=flow_text)
         message = "flow0.csv: flow map contains non-finite"
         self.assert_exits_2(tmp_path, trace_path, capsys, message)
+
+    def test_trace_not_utf8(self, tmp_path, capsys):
+        # a Latin-1 regime label after a valid header
+        trace_path = self.write_trace(tmp_path)
+        trace_path.write_bytes(trace_path.read_bytes().replace(b"stationary", b"arr\xeat"))
+        self.assert_exits_2(tmp_path, trace_path, capsys, f"{trace_path}: not UTF-8 text")
+
+    def test_grid_csv_not_utf8(self, tmp_path, capsys):
+        trace_path = self.write_trace(tmp_path)
+        grid = trace_path.parent / "conf0.csv"
+        grid.write_bytes(b"\xff\xfe" + grid.read_text().encode("utf-16-le"))
+        self.assert_exits_2(tmp_path, trace_path, capsys, f"{grid}: not UTF-8 text")
 
     def test_trace_without_rows(self, tmp_path, capsys):
         trace_path = self.write_trace(tmp_path, row="")
