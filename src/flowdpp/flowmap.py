@@ -12,7 +12,8 @@ new array.  process() runs the same private kernels from four order
 statistics of the map (its min, max and two middle values) and touches the
 whole map only to find them; a 375x1242 camera map resized to 8x8 shifts
 and squashes the 32x32 pixels the bicubic resize reads.  Tap indices and
-compact weights are cached per (source, target) size.
+compact weights are cached per (source, target) size.  process() also takes
+a list of same-shape maps, one row each, and runs each stage once over all.
 
 process() and check_flow_map() also take an (h, w, 2) float32 flow field,
 as read_flo returns it, whose map is flow_magnitude(field): hypot(u, v) in
@@ -71,19 +72,20 @@ def _as_flow_map(values):
     return arr
 
 
-def _extent(arr):
-    """(min, max) of a 2-D float64 map as Python floats, rejecting what the
-    full pipeline cannot take.
+def _extent(flat):
+    """(min, max) along the last axis of float64 maps flattened to it,
+    rejecting what the full pipeline cannot take.
 
     max - min equals max(arr - min) exactly, because rounding a difference is
-    monotone in its first operand.  min and max carry NaN, -inf shows in the
-    min and +inf in the range, so one min and one max pass check every value;
-    the range is also infinite when a finite map's shifted copy overflows
-    float64.  Python floats overflow without a numpy warning.
+    monotone in its first operand.  min and max carry NaN, and -inf in the
+    min or +inf in the max makes the range inf or NaN, so one min and one
+    max pass check every value; the range is also infinite when a finite
+    map's shifted copy overflows float64.
     """
-    lo, hi = float(arr.min()), float(arr.max())
-    if not (math.isfinite(lo) and math.isfinite(hi - lo)):
-        raise ValueError(_NON_FINITE)
+    lo, hi = flat.min(axis=-1), flat.max(axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(hi - lo).all():
+            raise ValueError(_NON_FINITE)
     return lo, hi
 
 
@@ -104,17 +106,17 @@ def _check_thresholds(num_boxes, c_th):
 def _median(lower, upper, n):
     """The median of n values whose two middle values are lower and upper
     (the same value for odd n); it equals np.median's bit for bit.  Their
-    mean is taken in Python floats, which overflow to inf without numpy's
-    RuntimeWarning; _shifted rejects an infinite median.
+    sum may overflow to inf, which _shifted rejects.
     """
     if n % 2:
         return upper
-    return np.float64((float(lower) + float(upper)) / 2.0)
+    with np.errstate(over="ignore"):
+        return (lower + upper) / 2.0
 
 
 def _middle(flat):
-    """(lower, upper), the two middle values of a 1-D array (the same value
-    for odd size), reordering its elements in place.
+    """(lower, upper), the two middle values along the last axis (the same
+    value for an odd length), reordering the elements in place.
 
     One partition at n // 2 puts the upper middle value there and only
     smaller-or-equal values before it; for even n the lower middle value is
@@ -122,25 +124,24 @@ def _middle(flat):
     flat may be any view that orders as the values do: _field_stats passes
     the int32 bit patterns of a non-negative float32 key.
     """
-    n = flat.size
+    n = flat.shape[-1]
     half = n // 2
-    flat.partition(half)
-    upper = flat[half]
-    return (flat[:half].max() if n % 2 == 0 else upper), upper
+    flat.partition(half, axis=-1)
+    upper = flat.take(half, axis=-1)
+    return (flat[..., :half].max(axis=-1) if n % 2 == 0 else upper), upper
 
 
 def _shifted(lo, hi, lower, upper, n):
-    """(median, lower, upper, max) of a map of n values shifted to its
-    minimum, given the map's min lo, max hi and middle values lower and
+    """(median, lower, upper, max) of maps of n values shifted to their
+    minimum, given each map's min lo, max hi and middle values lower and
     upper: the shift is monotone, so it maps order statistics to order
     statistics.  A median that overflows float64 is rejected.
     """
-    lo = float(lo)
     lower, upper = lower - lo, upper - lo
     median = _median(lower, upper, n)
-    if not math.isfinite(median):  # the middle values' sum overflows
+    if not np.isfinite(median).all():  # the middle values' sum overflows
         raise ValueError(_NON_FINITE)
-    return median, lower, upper, float(hi) - lo
+    return median, lower, upper, hi - lo
 
 
 def _abs_deviation(buf, median):
@@ -164,11 +165,10 @@ def _squashed_range(median, lower, upper, extent):
     fl(s - median) is monotone in s, so |s - median| falls to the median
     and rises after it, and squash is monotone: the minimum sits at lower
     or upper, between which no element lies, and the maximum at the
-    shifted map's ends, 0 and extent.
+    shifted map's ends, 0 and extent; |0 - median| is |median| exactly.
     """
-    near = min(abs(lower - median), abs(upper - median))
-    far = max(abs(0.0 - median), abs(extent - median))
-    return _squash(np.array([near, far]))
+    dev = abs(np.array([lower, upper, extent]) - median)
+    return _squash(np.array([np.minimum(dev[0], dev[1]), np.maximum(abs(median), dev[2])]))
 
 
 def _keys_kernel(x, a=-0.5):
@@ -227,12 +227,12 @@ def _resize_plan(shape, target_rows, target_cols):
 
 
 def _thresholds(flat, num_boxes, c_th):
-    """c_th / (1 + exp(2 f)) in place on a 1-D array, then num_boxes copies."""
+    """c_th / (1 + exp(2 f)) in place, then num_boxes copies along the last axis."""
     flat *= 2.0
     np.exp(flat, out=flat)
     flat += 1.0
     np.divide(c_th, flat, out=flat)
-    return np.concatenate((flat,) * num_boxes)
+    return np.concatenate((flat,) * num_boxes, axis=-1)
 
 
 # -- flow fields: order statistics of hypot(u, v) without the whole map -----
@@ -370,7 +370,7 @@ def shift_min(values):
     A map whose range overflows float64 is rejected like a non-finite one.
     """
     arr = _as_matrix(values)
-    return np.subtract(arr, _extent(arr)[0])
+    return np.subtract(arr, _extent(arr.ravel())[0])
 
 
 def center_abs_median(values):
@@ -424,56 +424,72 @@ def flow_magnitude(flow_uv):
 def process(values, grid_rows, grid_cols, num_boxes, c_th):
     """Full pipeline from raw flow map to per-cell threshold vector.
 
+    values is a 2-D map, an (h, w, 2) float32 field, or a list of 2-D maps
+    of one shape, which gives one row per map; a map or a field is a list
+    of one and gives its row.  A list is stacked: n maps of h x w take
+    8 n h w bytes, plus a copy for the partition and one of the taps.
+
     Bicubic interpolation can overshoot the source range; the resized map is
     clipped back to the squashed map's [min, max].  Squashed deviations lie
     in [0.5, 1], so every threshold lies in [c_th/(1+e^2), c_th/(1+e)] up to
     rounding: positive, and below c_th.
 
-    The map (see check_flow_map) and the parameters are validated once, up
-    front.  The whole map is read only for its min, max and two middle
-    values: one min and one max pass and one partition of a copy.  The shift
-    is monotone, so it maps them to the shifted map's as scalars.  Shift,
+    The maps (see check_flow_map; one bad map rejects the list) and the
+    parameters are validated once, up front.  A map is read whole only for
+    its min, max and two middle values: one min and one max pass and one
+    partition of a copy, each over all maps at once.  The shift is
+    monotone, so it maps them to the shifted map's as scalars.  Shift,
     deviation and squash then run on the pixels the resize taps: the whole
     map when every pixel is tapped, else a gathered copy of at most 4 rows
-    per grid row by 4 columns per grid column.  The clip bounds are exact
-    without a pass of their own: |s - median| rounds monotonically in s on
-    either side of the median and squash is monotone, so the squashed
-    minimum sits at the middle values, between which no element lies, and
-    the maximum at the shifted map's ends, 0 and its maximum.
+    per grid row by 4 columns per grid column.  Each map is resized by a
+    2-D product of its own, so no row depends on the others.  The clip
+    bounds are exact without a pass of their own: |s - median| rounds
+    monotonically in s on either side of the median and squash is monotone,
+    so the squashed minimum sits at the middle values, between which no
+    element lies, and the maximum at the shifted map's ends, 0 and its max.
 
-    values may also be an (h, w, 2) float32 flow field, standing for the
-    map flow_magnitude(values), which is never built: its min, max and
-    middle values come from the float32 key u^2 + v^2, bracketed by a
-    relative 2^-16 plus an absolute 2^-120 and resolved by hypot on the few
-    pixels inside each bracket.  The brackets absorb the key's rounding,
-    its subnormal squares and its overflow to inf (see _field_stats; this
-    assumes np.hypot is within 1 ulp).  hypot then runs once more, on the
-    tapped pixels.
+    A field stands for the map flow_magnitude(values), which is never
+    built: its min, max and middle values come from the float32 key u^2 +
+    v^2, bracketed by a relative 2^-16 plus an absolute 2^-120 and resolved
+    by hypot on the few pixels inside each bracket.  The brackets absorb
+    the key's rounding, its subnormal squares and its overflow to inf (see
+    _field_stats; this assumes np.hypot is within 1 ulp).  hypot then runs
+    once more, on the tapped pixels, before the maps' path.
 
     A map whose median overflows float64, such as [[0, 1.7e308, 1.7e308,
-    1.7e308]], is rejected as non-finite, as the stages reject it.  The
-    result equals the composition of the public stages bit for bit (on
+    1.7e308]], is rejected as non-finite, as the stages reject it.  Each row
+    equals the composition of the public stages on its map bit for bit (on
     flow_magnitude(values) for a field), and the input is never modified.
     """
-    arr = _as_input(values)
+    batch = isinstance(values, list) and len(values) > 0 and np.ndim(values[0]) == 2
+    if batch and len({np.shape(v) for v in values}) > 1:
+        raise ValueError("flow maps in one list must share one shape")
+    stack = np.asarray(values, dtype=np.float64) if batch else _as_input(values)[None]
+    if not stack.size:  # a list of empty maps
+        raise ValueError(f"flow map must be a non-empty 2-D matrix, got shape {stack.shape[1:]}")
     _check_target(grid_rows, grid_cols)
     _check_thresholds(num_boxes, c_th)
-    if arr.ndim == 2:
-        lo, hi, lower, upper = *_extent(arr), *_middle(arr.flatten(order="K"))
+    n, rows, cols = stack.shape[:3]
+    if stack.ndim == 4:
+        lo, hi, lower, upper = np.reshape(_field_stats(stack[0]), (4, 1))
     else:
-        lo, hi, lower, upper = _field_stats(arr)
-    median, lower, upper, extent = _shifted(lo, hi, lower, upper, arr.shape[0] * arr.shape[1])
-    plan = _resize_plan(arr.shape[:2], grid_rows, grid_cols)
-    tapped = arr if plan is None or plan[0] is None else arr[plan[0]]
-    tapped = np.subtract(tapped if arr.ndim == 2 else _hypot(tapped), lo)
-    _squash(_abs_deviation(tapped, median))
+        flat = stack.flatten(order="K").reshape(n, -1)  # one map per row: a list stacks in C order
+        lo, hi = _extent(flat)
+        lower, upper = _middle(flat)
+    median, lower, upper, extent = _shifted(lo, hi, lower, upper, rows * cols)
+    plan = _resize_plan((rows, cols), grid_rows, grid_cols)
+    tapped = stack if plan is None or plan[0] is None else stack[(slice(None), *plan[0])]
+    # in C order, as a map of its own: a gather after a slice is laid out otherwise
+    tapped = np.subtract(tapped if stack.ndim == 3 else _hypot(tapped), lo[:, None, None], order="C")
+    _squash(_abs_deviation(tapped, median[:, None, None]))
     if plan is not None:
         _, w_r, w_c = plan
-        tapped = w_r @ tapped @ w_c.T
+        tapped = np.stack([w_r @ m @ w_c.T for m in tapped])
         floor, ceiling = _squashed_range(median, lower, upper, extent)
-        np.maximum(tapped, floor, out=tapped)
-        np.minimum(tapped, ceiling, out=tapped)
-    return _thresholds(tapped.ravel(order="C"), num_boxes, c_th)
+        np.maximum(tapped, floor[:, None, None], out=tapped)
+        np.minimum(tapped, ceiling[:, None, None], out=tapped)
+    thresholds = _thresholds(tapped.reshape(n, -1), num_boxes, c_th)
+    return thresholds if batch else thresholds[0]
 
 
 def check_flow_map(values):
@@ -494,7 +510,7 @@ def check_flow_map(values):
     if arr.ndim == 3:  # a field's magnitudes stay far below half the float64 maximum
         _field_key(arr)
         return arr
-    lo, hi = _extent(arr)
+    lo, hi = _extent(arr.reshape(-1))
     # only shifted values above half the float64 maximum can sum past it
     if hi - lo > np.finfo(np.float64).max / 2.0:
         _shifted(lo, hi, *_middle(arr.flatten(order="K")), arr.size)

@@ -6,6 +6,10 @@ detector variants with their latency profiles, advances the queue under a
 policy, and returns a deterministic per-step time series as columns
 (SimResult).
 
+run steps frames in blocks of BLOCK_FRAMES, thresholding a block's flow
+maps in one flowmap.process call (see h_thresholds) that stacks them: 32
+maps of 32 x 32 take 256 KiB.
+
 Frame generation consumes its own RNG stream and never depends on policy
 decisions, so runs with the same seed see identical frames regardless of the
 policy under test.
@@ -30,9 +34,9 @@ from .detection import ConfidenceGrid, nms, score_against_truth, threshold_detec
 from .policies import DISCOUNT, LEARNING_RATE, ReinforcePolicy, make_policy_state
 
 __all__ = [
-    "CPU_LATENCY", "GPU_LATENCY", "ScenarioConfig", "FrameObservation", "FrameGenerator",
-    "generate_frame", "emulate_detector", "SimResult", "step", "run", "check_frames",
-    "summarize", "Summary", "benchmark_config", "train_reinforce",
+    "CPU_LATENCY", "GPU_LATENCY", "BLOCK_FRAMES", "ScenarioConfig", "FrameObservation",
+    "FrameGenerator", "generate_frame", "h_thresholds", "emulate_detector", "SimResult", "step",
+    "run", "check_frames", "summarize", "Summary", "benchmark_config", "train_reinforce",
 ]
 
 # Measured seconds per cycle (hybrid, plain detector) on the two platforms.
@@ -41,6 +45,8 @@ CPU_LATENCY = (0.133, 0.067)
 
 DRIVING = "driving"
 STATIONARY = "stationary"
+
+BLOCK_FRAMES = 32  # frames run steps per flowmap.process call
 
 
 @dataclass(frozen=True)
@@ -223,19 +229,37 @@ class FrameGenerator:
         return generate_frame(sc, self.rng, t, self.regime)
 
 
-def emulate_detector(frame, alpha, scenario):
+def h_thresholds(frames, scenario):
+    """H's flow-lowered threshold row for each frame, or None where the grid
+    holds no positive confidence and the map is never read.  The 2-D maps
+    of one shape share one flowmap.process call; each field has its own."""
+    sc = scenario
+    groups = {}  # a map shape, or a field's frame index -> frame indices
+    for i, frame in enumerate(frames):
+        if np.count_nonzero(frame.grid.conf):
+            groups.setdefault(frame.flow.shape if frame.flow.ndim == 2 else i, []).append(i)
+    rows = {}
+    for key, indices in groups.items():
+        maps = [frames[i].flow for i in indices]
+        out = flowmap.process(maps if isinstance(key, tuple) else maps[0], sc.grid_rows,
+                              sc.grid_cols, sc.boxes_per_cell, sc.c_th)
+        rows.update(zip(indices, out.reshape(len(indices), -1)))
+    return [rows.get(i) for i in range(len(frames))]
+
+
+def emulate_detector(frame, alpha, scenario, thresholds_h):
     """Run one detector variant on a frame.
 
-    T thresholds the grid with the scalar c_th; H first lowers thresholds
-    from the flow map.  Since every lowered threshold is below c_th, H's
-    pre-NMS detections are a superset of T's.  Latency is base plus a
-    per-object term on the frame's true object count.
+    T thresholds the grid with the scalar c_th; H with thresholds_h, the
+    frame's flow-lowered row from h_thresholds.  Since every lowered
+    threshold is below c_th, H's pre-NMS detections are a superset of T's.
+    Latency is base plus a per-object term on the frame's true object count.
 
     A frame whose grid holds no nonzero confidence (grids lie in [0, 1], so
     none is positive) yields no detections under either variant, because
     every threshold is positive (c_th > 0, and the flow-lowered ones are at
-    least c_th/(1+e^2)); such a frame skips the flow map, thresholding and
-    NMS.
+    least c_th/(1+e^2)); such a frame skips thresholding and NMS, and
+    thresholds_h is not read.
 
     Returns (post-NMS detections, detected count, seconds per cycle).
     """
@@ -247,12 +271,7 @@ def emulate_detector(frame, alpha, scenario):
     p = base + per_obj * frame.num_objects
     if not np.count_nonzero(frame.grid.conf):
         return [], 0, p
-    if alpha is ModelChoice.H:
-        thresholds = flowmap.process(
-            frame.flow, sc.grid_rows, sc.grid_cols, sc.boxes_per_cell, sc.c_th
-        )
-    else:
-        thresholds = sc.c_th
+    thresholds = thresholds_h if alpha is ModelChoice.H else sc.c_th
     dets = nms(threshold_detections(frame.grid, thresholds), sc.nms_iou)
     return dets, len(dets), p
 
@@ -282,16 +301,16 @@ class SimResult:
         return np.concatenate(([0.0], self.q[:-1]))
 
 
-def step(q, prev, frame, policy, scenario, cfg, rng, collect=None):
+def step(q, prev, frame, thresholds_h, policy, scenario, cfg, rng, collect=None):
     """Advance the queue one step under the policy's decision on this frame.
 
-    q is the backlog before the step and prev the previous step's
-    (a, b, perf).  Returns the step's row (alpha, q after, a, b, perf, p,
-    tpr, recall); tpr and recall are NaN on an unlabeled trace frame.
+    q is the backlog before it, prev the previous step's (a, b, perf) and
+    thresholds_h the frame's H row.  Returns the step's row (alpha, q after,
+    a, b, perf, p, tpr, recall); tpr and recall are NaN when unlabeled.
     """
     sc = scenario
-    dets_h, num_h, p_h = emulate_detector(frame, ModelChoice.H, sc)
-    dets_t, num_t, p_t = emulate_detector(frame, ModelChoice.T, sc)
+    dets_h, num_h, p_h = emulate_detector(frame, ModelChoice.H, sc, thresholds_h)
+    dets_t, num_t, p_t = emulate_detector(frame, ModelChoice.T, sc, thresholds_h)
     obs = StepObservation(num_h, num_t, p_h, p_t, sc.couple_arrival)
     alpha = policy.decide(q, prev, obs, cfg, rng)
 
@@ -330,7 +349,8 @@ def run(scenario, policy, cfg=None, frames=None, seed=None, collect=None):
 
     frames may supply pre-generated or trace-loaded FrameObservations in
     place of the built-in generator; all of them run, in place of
-    scenario.horizon steps, and they must pass check_frames.
+    scenario.horizon steps, and they must pass check_frames.  Frames are
+    taken or generated BLOCK_FRAMES at a time, in stream order.
     """
     cfg = cfg or ControllerConfig()
     if frames is not None:
@@ -342,11 +362,13 @@ def run(scenario, policy, cfg=None, frames=None, seed=None, collect=None):
     policy_rng = np.random.default_rng(seed_seq + [0x9E3779B9])
     rows = []
     q, prev = 0.0, (0.0, 0.0, 0.0)
-    for t in range(horizon):
-        frame = frames[t] if frames is not None else gen.next(t)
-        row = step(q, prev, frame, policy, scenario, cfg, policy_rng, collect)
-        rows.append(row)
-        q, prev = row[1], row[2:5]
+    for start in range(0, horizon, BLOCK_FRAMES):
+        times = range(start, min(start + BLOCK_FRAMES, horizon))
+        block = [gen.next(t) for t in times] if frames is None else frames[start:times.stop]
+        for frame, thresholds_h in zip(block, h_thresholds(block, scenario)):
+            row = step(q, prev, frame, thresholds_h, policy, scenario, cfg, policy_rng, collect)
+            rows.append(row)
+            q, prev = row[1], row[2:5]
     # one contiguous float64 row per column: (q, a, b, perf, p, tpr, recall)
     columns = np.array([row[1:] for row in rows], dtype=float).reshape(-1, 7).T.copy()
     return SimResult(scenario, policy.flops_per_decision(), [row[0] for row in rows], *columns)

@@ -414,6 +414,79 @@ class TestProcessDifferential:
                 pipeline(arr, *grid, 1, 0.5)
 
 
+@st.composite
+def map_lists(draw):
+    """(maps, grid_rows, grid_cols): 1-17 same-shape maps and a target that
+    is one row, one column, the maps' own size, or small.  Sides up to 40
+    let the resize gather a sub-grid; quarter steps in [-2, 2] tie and go
+    negative, normal values mostly do not."""
+    rows, cols = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    count = draw(st.integers(1, 17))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        maps = [rng.integers(-8, 9, size=(rows, cols)) / 4.0 for _ in range(count)]
+    else:
+        maps = [rng.normal(0.0, 10.0 ** rng.uniform(-3, 3), size=(rows, cols))
+                for _ in range(count)]
+    grid = draw(st.sampled_from([
+        (1, draw(st.integers(1, 6))), (draw(st.integers(1, 6)), 1), (rows, cols),
+        (draw(st.integers(1, 6)), draw(st.integers(1, 6))),
+    ]))
+    return maps, *grid
+
+
+class TestProcessList:
+    """process() on a list of same-shape maps gives one row per map, each
+    equal to the stage composition on that map alone."""
+
+    @given(map_lists(), st.integers(1, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_rows_equal_stage_composition(self, case, k):
+        maps, gr, gc = case
+        before = [m.copy() for m in maps]
+        out = flowmap.process(maps, gr, gc, k, 0.5)
+        assert out.shape == (len(maps), gr * gc * k)
+        for arr, row in zip(maps, out):
+            expected = composed(arr, gr, gc, k, 0.5)
+            assert np.array_equal(row, expected)
+            assert np.array_equal(row.view(np.int64), expected.view(np.int64))
+        assert all(np.array_equal(m, b) for m, b in zip(maps, before))
+
+    def test_sub_grid_gather_and_one_row_targets_are_covered(self):
+        # the strategy's sizes reach both resize layouts the rows must match
+        assert flowmap._resize_plan((40, 40), 1, 6)[0] is not None
+        assert flowmap._resize_plan((32, 32), 8, 8)[0] is None
+
+    def test_single_map_is_its_list_of_one(self):
+        arr = np.random.default_rng(8).normal(size=(9, 13))
+        (row,) = flowmap.process([arr], 4, 5, 2, 0.5)
+        single = flowmap.process(arr, 4, 5, 2, 0.5)
+        assert single.shape == (40,) and np.array_equal(single, row)
+
+    def test_maps_given_as_nested_lists(self):
+        maps = [[[1, 3], [5, 7]], [[0, 0], [0, 1]]]
+        out = flowmap.process(maps, 2, 2, 1, 0.5)
+        for arr, row in zip(maps, out):
+            assert np.array_equal(row, flowmap.process(arr, 2, 2, 1, 0.5))
+
+    def test_shapes_must_match(self):
+        with pytest.raises(ValueError, match="share one shape"):
+            flowmap.process([np.zeros((3, 4)), np.zeros((4, 3))], 2, 2, 1, 0.5)
+
+    def test_empty_maps_rejected(self):
+        with pytest.raises(ValueError, match="non-empty 2-D"):
+            flowmap.process([np.zeros((0, 3)), np.zeros((0, 3))], 2, 2, 1, 0.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e308])
+    def test_one_bad_map_rejects_the_list(self, bad):
+        maps = [np.random.default_rng(i).normal(size=(6, 6)) for i in range(5)]
+        maps[3][2, 4] = bad
+        if bad == 1e308:
+            maps[3][0, 0] = -1e308  # finite, but its range overflows
+        with pytest.raises(ValueError, match="non-finite"):
+            flowmap.process(maps, 2, 2, 1, 0.5)
+
+
 class TestCameraSizeMaps:
     """process() squashes only the tapped sub-grid of a camera-size map."""
 

@@ -4,7 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from flowdpp import policies, sim
+from flowdpp import cli, fileio, policies, sim
 from flowdpp.config import ConfigError, parse_config
 from flowdpp.controller import (
     ControllerConfig,
@@ -58,10 +58,16 @@ def consumed(monkeypatch):
     return frames
 
 
+def h_row(frame, sc):
+    """The H threshold row sim.run passes with this frame, from a block of one."""
+    (row,) = sim.h_thresholds([frame], sc)
+    return row
+
+
 def frame_observation(frame, sc, coupled_arrival=False):
     """The StepObservation that sim.step scores on this frame."""
-    _, num_h, p_h = sim.emulate_detector(frame, ModelChoice.H, sc)
-    _, num_t, p_t = sim.emulate_detector(frame, ModelChoice.T, sc)
+    _, num_h, p_h = sim.emulate_detector(frame, ModelChoice.H, sc, h_row(frame, sc))
+    _, num_t, p_t = sim.emulate_detector(frame, ModelChoice.T, sc, h_row(frame, sc))
     return StepObservation(num_h, num_t, p_h, p_t, coupled_arrival)
 
 
@@ -217,8 +223,8 @@ class TestEmulateDetector:
 
     def test_latency_model(self):
         sc, frame = self.make_frame()
-        _, _, p_h = sim.emulate_detector(frame, ModelChoice.H, sc)
-        _, _, p_t = sim.emulate_detector(frame, ModelChoice.T, sc)
+        _, _, p_h = sim.emulate_detector(frame, ModelChoice.H, sc, h_row(frame, sc))
+        _, _, p_t = sim.emulate_detector(frame, ModelChoice.T, sc, h_row(frame, sc))
         n = frame.num_objects
         assert p_h == pytest.approx(sc.base_latency_h + 0.001 * n)
         assert p_t == pytest.approx(sc.base_latency_t + 0.001 * n)
@@ -248,16 +254,16 @@ class TestEmulateDetector:
             boxes[frame.grid.conf == 0.0] = 1e300
             poisoned = dataclasses.replace(frame, grid=ConfidenceGrid(frame.grid.conf, boxes))
             for alpha in (ModelChoice.H, ModelChoice.T):
-                dets = sim.emulate_detector(frame, alpha, sc)
-                assert sim.emulate_detector(poisoned, alpha, sc) == dets
+                dets = sim.emulate_detector(frame, alpha, sc, h_row(frame, sc))
+                assert sim.emulate_detector(poisoned, alpha, sc, h_row(poisoned, sc)) == dets
                 admitted += dets[1]
         assert admitted > 0
 
     def test_hybrid_detects_at_least_as_many_post_nms(self):
         for seed in range(30):
             sc, frame = self.make_frame(seed)
-            _, num_h, _ = sim.emulate_detector(frame, ModelChoice.H, sc)
-            _, num_t, _ = sim.emulate_detector(frame, ModelChoice.T, sc)
+            _, num_h, _ = sim.emulate_detector(frame, ModelChoice.H, sc, h_row(frame, sc))
+            _, num_t, _ = sim.emulate_detector(frame, ModelChoice.T, sc, h_row(frame, sc))
             assert num_h >= num_t
 
 
@@ -414,8 +420,8 @@ class TestRun:
                 assert alpha is dpp_select(q, obs, cfg)
             elif name != "uniform":
                 assert alpha is policy.choice
-            dets, _, p = sim.emulate_detector(frame, alpha, sc)
-            _, _, p_t = sim.emulate_detector(frame, ModelChoice.T, sc)
+            dets, _, p = sim.emulate_detector(frame, alpha, sc, h_row(frame, sc))
+            _, _, p_t = sim.emulate_detector(frame, ModelChoice.T, sc, h_row(frame, sc))
             a = arrival(cfg.w_fps, p if couple else p_t)
             b = service(alpha, cfg)
             metrics = score_against_truth(dets, frame.truth_boxes, sc.match_iou)
@@ -485,9 +491,10 @@ class TestTrainReinforce:
         assert len(episode) == 8
 
 
-def full_detector(frame, alpha, scenario):
+def full_detector(frame, alpha, scenario, thresholds_h):
     """emulate_detector without the empty-grid shortcut: always threshold and
-    suppress, with flow-lowered thresholds for H and c_th for T."""
+    suppress, with flow-lowered thresholds for H and c_th for T.  It does not
+    read thresholds_h: H thresholds this frame's own map, one call per frame."""
     sc = scenario
     if alpha is ModelChoice.H:
         thresholds = flowmap.process(
@@ -538,7 +545,8 @@ class TestEmptyGridShortcut:
             else:
                 empty += 1
             for alpha in (ModelChoice.H, ModelChoice.T):
-                assert sim.emulate_detector(frame, alpha, sc) == full_detector(frame, alpha, sc)
+                row = h_row(frame, sc)
+                assert sim.emulate_detector(frame, alpha, sc, row) == full_detector(frame, alpha, sc, row)
         assert empty > 0 and non_empty > 0
 
     def test_tiny_positive_confidence_is_not_empty(self, monkeypatch):
@@ -553,8 +561,9 @@ class TestEmptyGridShortcut:
         calls = []
         process = flowmap.process
         monkeypatch.setattr(flowmap, "process", lambda *a: calls.append(a) or process(*a))
+        row = h_row(frame, sc)
         for alpha in (ModelChoice.H, ModelChoice.T):
-            assert sim.emulate_detector(frame, alpha, sc) == full_detector(frame, alpha, sc)
+            assert sim.emulate_detector(frame, alpha, sc, row) == full_detector(frame, alpha, sc, row)
         assert len(calls) == 2  # once from each H path
 
     def test_process_not_called_on_empty_grids(self, monkeypatch):
@@ -565,8 +574,9 @@ class TestEmptyGridShortcut:
         expected = 0
         for frame in generated_frames(sc, seeds=(0,), steps=150):
             before = len(calls)
-            sim.emulate_detector(frame, ModelChoice.H, sc)
-            sim.emulate_detector(frame, ModelChoice.T, sc)
+            row = h_row(frame, sc)
+            sim.emulate_detector(frame, ModelChoice.H, sc, row)
+            sim.emulate_detector(frame, ModelChoice.T, sc, row)
             if frame.grid.conf.any():
                 expected += 1
                 assert len(calls) == before + 1
@@ -608,6 +618,99 @@ class TestEmptyGridShortcut:
         frames = list(generated_frames(dataclasses.replace(sc, grid_cols=5), (0,), 5))
         with pytest.raises(ValueError, match="grid shape"):
             sim.run(sc, AlwaysPolicy(ModelChoice.T), frames=frames)
+
+
+def mixed_frames(count=70):
+    """(scenario, frames): supplied frames over three blocks that mix two
+    map shapes, (h, w, 2) float32 fields, and empty-grid frames whose maps
+    are not finite, which the simulator never thresholds.  Confidences
+    straddle the flow-lowered thresholds, so each H row moves the counts."""
+    sc = tiny_scenario(horizon=count, seed=7, flow_rows=12, flow_cols=20, grid_rows=4,
+                       grid_cols=5, mean_objects_stationary=0.8, miss_prob=0.7,
+                       recoverable_conf=(0.0, 0.2), false_positive_rate=1.0,
+                       false_conf=(0.0, 0.1))
+    gen = sim.FrameGenerator(sc)
+    rng = np.random.default_rng(5)
+    frames = []
+    for t in range(count):
+        frame = gen.next(t)
+        if not frame.grid.conf.any() and t % 2:
+            frame = dataclasses.replace(frame, flow=np.full((12, 20), [np.nan, np.inf][t % 4 // 2]))
+        elif t % 3 == 1:
+            frame = dataclasses.replace(frame, flow=rng.normal(size=(9, 13)))
+        elif t % 7 == 3:
+            frame = dataclasses.replace(frame, flow=rng.normal(size=(10, 14, 2)).astype(np.float32))
+        frames.append(frame)
+    kinds = [(f.flow.shape, bool(f.grid.conf.any()), bool(np.isfinite(f.flow).all())) for f in frames]
+    for kind in [((12, 20), True, True), ((9, 13), True, True), ((10, 14, 2), True, True),
+                 ((12, 20), False, False)]:
+        assert kind in kinds
+    return sc, frames
+
+
+class TestBlocks:
+    """run thresholds each block of frames' maps in one flowmap.process call;
+    every output equals the per-frame path's."""
+
+    def test_one_process_call_per_block(self, consumed, monkeypatch):
+        sc = tiny_scenario(horizon=100, mean_objects_stationary=1.0)
+        calls = []
+        process = flowmap.process
+        monkeypatch.setattr(flowmap, "process", lambda *a: calls.append(a[0]) or process(*a))
+        sim.run(sc, DppPolicy())
+        assert len(consumed) == 100 and len(calls) == -(-100 // sim.BLOCK_FRAMES)
+        for start, maps in zip(range(0, 100, sim.BLOCK_FRAMES), calls):
+            block = consumed[start:start + sim.BLOCK_FRAMES]
+            expected = [f.flow for f in block if f.grid.conf.any()]
+            assert 0 < len(maps) < len(block)
+            assert len(maps) == len(expected) and all(m is f for m, f in zip(maps, expected))
+
+    def test_every_h_row_is_its_own_maps(self, monkeypatch):
+        sc, frames = mixed_frames()
+        used = []
+        threshold = sim.threshold_detections
+        monkeypatch.setattr(sim, "threshold_detections",
+                            lambda grid, t: used.append((grid, t)) or threshold(grid, t))
+        sim.run(sc, DppPolicy(), frames=frames)
+        frame_of = {id(f.grid): f for f in frames}
+        rows = [(frame_of[id(grid)], t) for grid, t in used if not np.isscalar(t)]
+        assert [f.t for f, _ in rows] == [f.t for f in frames if f.grid.conf.any()]
+        for frame, row in rows:
+            expected = flowmap.process(frame.flow, sc.grid_rows, sc.grid_cols,
+                                       sc.boxes_per_cell, sc.c_th)
+            assert np.array_equal(row, expected)
+
+    def test_outputs_equal_a_per_frame_run(self, tmp_path, monkeypatch, capsys):
+        sc, frames = mixed_frames()
+        cfg_path = tmp_path / "run.ini"
+        cfg_path.write_text(
+            f"[run]\ntrace = {tmp_path / 'trace.csv'}\nreinforce_train_episodes = 2\n"
+            "reinforce_episode_len = 5\n\n[scenario]\nflow_rows = 12\nflow_cols = 20\n"
+            "grid_rows = 4\ngrid_cols = 5\n\n[controller]\ntie_break = T\n"
+        )
+        monkeypatch.setattr(fileio, "load_trace", lambda path: frames)
+
+        def outputs(name):
+            out = tmp_path / name
+            assert cli.main(["compare", "--config", str(cfg_path), "--out", str(out)]) == 0
+            return [(out / f).read_bytes() for f in ("timeseries.csv", "summary.csv")]
+
+        blocked = outputs("blocked")
+        emulate = sim.emulate_detector
+
+        def per_frame(frame, alpha, scenario, thresholds_h):
+            # H's thresholds from this frame's own map, one process call each
+            if alpha is ModelChoice.H and frame.grid.conf.any():
+                thresholds_h = flowmap.process(frame.flow, scenario.grid_rows, scenario.grid_cols,
+                                               scenario.boxes_per_cell, scenario.c_th)
+            else:
+                thresholds_h = None
+            return emulate(frame, alpha, scenario, thresholds_h)
+
+        monkeypatch.setattr(sim, "emulate_detector", per_frame)
+        assert outputs("per_frame") == blocked
+        assert b"H" in blocked[0] and b"nan" not in blocked[1]
+        capsys.readouterr()
 
 
 # Out-of-range scenario values, each rejected once when the scenario is built
