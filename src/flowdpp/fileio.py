@@ -66,8 +66,7 @@ def write_flo(path, flow):
 
 
 def _utf8_lines(path):
-    """The lines of a text file read as UTF-8; bytes that are not UTF-8 are
-    an error naming the file."""
+    """The lines of a text file read as UTF-8, whatever the locale."""
     with open(path, newline="", encoding="utf-8") as f:
         try:
             yield from f
@@ -76,7 +75,10 @@ def _utf8_lines(path):
 
 
 def read_matrix_csv(path):
-    arr = np.loadtxt(_utf8_lines(path), delimiter=",", ndmin=2, dtype=np.float64)
+    try:  # by path, so that loadtxt still reads .gz and .bz2 files
+        arr = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64, encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc.reason}") from exc
     if arr.size == 0:
         raise ValueError(f"{path}: empty matrix")
     return arr

@@ -465,8 +465,7 @@ def process(values, grid_rows, grid_cols, num_boxes, c_th):
     if batch and len({np.shape(v) for v in values}) > 1:
         raise ValueError("flow maps in one list must share one shape")
     stack = np.asarray(values, dtype=np.float64) if batch else _as_input(values)[None]
-    if not stack.size:  # a list of empty maps
-        raise ValueError(f"flow map must be a non-empty 2-D matrix, got shape {stack.shape[1:]}")
+    _as_input(stack[0])  # rejects a list of empty maps
     _check_target(grid_rows, grid_cols)
     _check_thresholds(num_boxes, c_th)
     n, rows, cols = stack.shape[:3]
@@ -484,7 +483,9 @@ def process(values, grid_rows, grid_cols, num_boxes, c_th):
     _squash(_abs_deviation(tapped, median[:, None, None]))
     if plan is not None:
         _, w_r, w_c = plan
-        tapped = np.stack([w_r @ m @ w_c.T for m in tapped])
+        squashed, tapped = tapped, np.empty((n, grid_rows, grid_cols))
+        for m, out in zip(squashed, tapped):
+            np.matmul(w_r @ m, w_c.T, out=out)
         floor, ceiling = _squashed_range(median, lower, upper, extent)
         np.maximum(tapped, floor[:, None, None], out=tapped)
         np.minimum(tapped, ceiling[:, None, None], out=tapped)

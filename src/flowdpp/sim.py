@@ -348,10 +348,9 @@ def run(scenario, policy, cfg=None, frames=None, seed=None, collect=None):
     """Run a full simulation; deterministic given (scenario, policy, seed).
 
     frames may supply pre-generated or trace-loaded FrameObservations in
-    place of the built-in generator; all of them run, in place of
-    scenario.horizon steps, and they must pass check_frames.  Frames are
-    taken or generated BLOCK_FRAMES at a time, in stream order.
-    """
+    place of the generator; all of them run, in place of scenario.horizon
+    steps, and must pass check_frames.  Each block of BLOCK_FRAMES is
+    generated, in stream order, or taken before its first step."""
     cfg = cfg or ControllerConfig()
     if frames is not None:
         check_frames(frames, scenario)
