@@ -546,7 +546,8 @@ class TestEmptyGridShortcut:
                 empty += 1
             for alpha in (ModelChoice.H, ModelChoice.T):
                 row = h_row(frame, sc)
-                assert sim.emulate_detector(frame, alpha, sc, row) == full_detector(frame, alpha, sc, row)
+                expected = full_detector(frame, alpha, sc, row)
+                assert sim.emulate_detector(frame, alpha, sc, row) == expected
         assert empty > 0 and non_empty > 0
 
     def test_tiny_positive_confidence_is_not_empty(self, monkeypatch):
@@ -563,7 +564,8 @@ class TestEmptyGridShortcut:
         monkeypatch.setattr(flowmap, "process", lambda *a: calls.append(a) or process(*a))
         row = h_row(frame, sc)
         for alpha in (ModelChoice.H, ModelChoice.T):
-            assert sim.emulate_detector(frame, alpha, sc, row) == full_detector(frame, alpha, sc, row)
+            expected = full_detector(frame, alpha, sc, row)
+            assert sim.emulate_detector(frame, alpha, sc, row) == expected
         assert len(calls) == 2  # once from each H path
 
     def test_process_not_called_on_empty_grids(self, monkeypatch):
@@ -635,13 +637,16 @@ def mixed_frames(count=70):
     for t in range(count):
         frame = gen.next(t)
         if not frame.grid.conf.any() and t % 2:
-            frame = dataclasses.replace(frame, flow=np.full((12, 20), [np.nan, np.inf][t % 4 // 2]))
+            flow = np.full((12, 20), [np.nan, np.inf][t % 4 // 2])
         elif t % 3 == 1:
-            frame = dataclasses.replace(frame, flow=rng.normal(size=(9, 13)))
+            flow = rng.normal(size=(9, 13))
         elif t % 7 == 3:
-            frame = dataclasses.replace(frame, flow=rng.normal(size=(10, 14, 2)).astype(np.float32))
-        frames.append(frame)
-    kinds = [(f.flow.shape, bool(f.grid.conf.any()), bool(np.isfinite(f.flow).all())) for f in frames]
+            flow = rng.normal(size=(10, 14, 2)).astype(np.float32)
+        else:
+            flow = frame.flow
+        frames.append(dataclasses.replace(frame, flow=flow))
+    kinds = [(f.flow.shape, bool(f.grid.conf.any()), bool(np.isfinite(f.flow).all()))
+             for f in frames]
     for kind in [((12, 20), True, True), ((9, 13), True, True), ((10, 14, 2), True, True),
                  ((12, 20), False, False)]:
         assert kind in kinds
