@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from flowdpp import cli, fileio, policies, sim
-from flowdpp.config import ConfigError, parse_config
+from flowdpp.config import ConfigError, load_config, parse_config
 from flowdpp.controller import (
     ControllerConfig,
     ModelChoice,
@@ -716,6 +716,90 @@ class TestBlocks:
         assert outputs("per_frame") == blocked
         assert b"H" in blocked[0] and b"nan" not in blocked[1]
         capsys.readouterr()
+
+
+def old_h_thresholds(frames, scenario):
+    """Each frame's H threshold row from its own map, or None on an empty
+    grid: what the old detector path handed each step."""
+    sc = scenario
+    return [flowmap.process(f.flow, sc.grid_rows, sc.grid_cols, sc.boxes_per_cell, sc.c_th)
+            if np.count_nonzero(f.grid.conf) else None for f in frames]
+
+
+def old_emulate_detector(frame, alpha, scenario, thresholds_h):
+    """The old detector path, the oracle for the shared one: each variant
+    thresholds the grid itself, H with thresholds_h and T with c_th, and
+    runs its own NMS; an empty grid skips both."""
+    sc = scenario
+    if alpha is ModelChoice.H:
+        base, per_obj = sc.base_latency_h, sc.per_object_latency_h
+    else:
+        base, per_obj = sc.base_latency_t, sc.per_object_latency_t
+    p = base + per_obj * frame.num_objects
+    if not np.count_nonzero(frame.grid.conf):
+        return [], 0, p
+    thresholds = thresholds_h if alpha is ModelChoice.H else sc.c_th
+    dets = nms(threshold_detections(frame.grid, thresholds), sc.nms_iou)
+    return dets, len(dets), p
+
+
+def use_old_detector_path(monkeypatch):
+    monkeypatch.setattr(sim, "h_thresholds", old_h_thresholds)
+    monkeypatch.setattr(sim, "emulate_detector", old_emulate_detector)
+
+
+# A generated scene whose missed objects and false positives draw from a
+# range that straddles H's band [c_th/(1+e^2), c_th/(1+e)], so H and T
+# disagree on many frames.
+STRADDLING_INI = (
+    "[run]\nreinforce_train_episodes = 2\nreinforce_episode_len = 5\n\n"
+    "[scenario]\nhorizon = 120\nseed = 11\nflow_rows = 12\nflow_cols = 20\ngrid_rows = 4\n"
+    "grid_cols = 5\nmean_objects_stationary = 0.8\nmiss_prob = 0.6\n"
+    "recoverable_conf = 0.05,0.2\nfalse_positive_rate = 1.0\nfalse_conf = 0.05,0.2\n\n"
+    "[controller]\ntie_break = T\n"
+)
+
+
+class TestOldDetectorPath:
+    """compare's outputs equal, byte for byte, those of the old detector path,
+    in which T thresholds and suppresses the grid on its own."""
+
+    @pytest.mark.parametrize("scene", ["mixed", "straddling"])
+    def test_compare_equals_old_path(self, scene, tmp_path, monkeypatch, capsys):
+        if scene == "mixed":
+            sc, frames = mixed_frames()
+            text = (f"[run]\ntrace = {tmp_path / 'trace.csv'}\nreinforce_train_episodes = 2\n"
+                    "reinforce_episode_len = 5\n\n[scenario]\nflow_rows = 12\nflow_cols = 20\n"
+                    "grid_rows = 4\ngrid_cols = 5\n\n[controller]\ntie_break = T\n")
+            monkeypatch.setattr(fileio, "load_trace", lambda path: frames)
+        else:
+            text = STRADDLING_INI
+        cfg_path = tmp_path / "run.ini"
+        cfg_path.write_text(text)
+
+        def outputs(name):
+            out = tmp_path / name
+            assert cli.main(["compare", "--config", str(cfg_path), "--out", str(out)]) == 0
+            return [(out / f).read_bytes() for f in ("timeseries.csv", "summary.csv")]
+
+        shared = outputs("shared")
+        use_old_detector_path(monkeypatch)
+        assert outputs("old") == shared
+        assert b",H," in shared[0] and b",T," in shared[0]
+        capsys.readouterr()
+
+    def test_straddling_scene_separates_h_from_t(self, tmp_path):
+        cfg_path = tmp_path / "run.ini"
+        cfg_path.write_text(STRADDLING_INI)
+        sc = load_config(cfg_path).scenario
+        frames = list(generated_frames(sc, (sc.seed,), sc.horizon))
+        differ = 0
+        for frame, row in zip(frames, old_h_thresholds(frames, sc), strict=True):
+            dets_h = old_emulate_detector(frame, ModelChoice.H, sc, row)[0]
+            dets_t = old_emulate_detector(frame, ModelChoice.T, sc, row)[0]
+            assert dets_t == [d for d in dets_h if d.confidence > sc.c_th]
+            differ += dets_h != dets_t
+        assert differ >= len(frames) // 4
 
 
 # Out-of-range scenario values, each rejected once when the scenario is built
