@@ -95,59 +95,76 @@ class DetectionMetrics:
         return self.correctly_detected / denom if denom > 0 else 0.0
 
 
-def _threshold_tensor(grid, thresholds):
-    rows, cols, k = grid.shape
+def _threshold_tensor(shape, count, thresholds):
+    rows, cols, k = shape
     thr = np.asarray(thresholds, dtype=np.float64)
     if thr.ndim == 0:
         return thr
-    if thr.shape != (rows * cols * k,):
+    if thr.shape != (count, rows * cols * k):
         raise ValueError(
-            f"threshold vector length {thr.size} does not match grid {rows}x{cols}x{k}"
+            f"thresholds of shape {thr.shape} do not match {count} grid(s) of {rows}x{cols}x{k}"
         )
-    # Vector layout is k replicated blocks, each a row-major (row, col) plane.
-    return thr.reshape(k, rows, cols).transpose(1, 2, 0)
+    # A row is k replicated blocks, each a row-major (row, col) plane.
+    return thr.reshape(count, k, rows, cols).transpose(0, 2, 3, 1)
 
 
-def threshold_detections(grid, thresholds):
+def threshold_detections(grids, thresholds):
     """Admit entries with confidence strictly above their threshold; keep the
     highest-confidence admitted box per cell.  Output is in row-major cell
     order.
 
-    One vector compare finds the admitted entries in row-major order; a pass
-    over those few keeps each cell's best, replaced only by a strictly
-    greater confidence, so a tie keeps the lowest box index.
+    grids is one grid, with a scalar or one row of rows*cols*k thresholds,
+    giving one detection list; or a list of grids of one shape, with a
+    scalar or one row per grid, giving one list per grid.  A grid is a list
+    of one: one vector compare over the stacked grids finds the admitted
+    entries in order, and a pass over those few keeps each cell's best,
+    replaced only by a strictly greater confidence, so a tie keeps the
+    lowest box index.
     """
-    thr = _threshold_tensor(grid, thresholds)
-    conf = grid.conf
+    single = isinstance(grids, ConfidenceGrid)
+    if single:
+        grids, thresholds = [grids], thresholds if np.ndim(thresholds) == 0 else [thresholds]
+    shape = grids[0].shape
+    if any(grid.shape != shape for grid in grids):
+        raise ValueError("grids must share one shape")
+    conf = np.concatenate([grid.conf for grid in grids]).reshape((len(grids),) + shape)
+    thr = _threshold_tensor(shape, len(grids), thresholds)
     admitted = (conf > thr).ravel().nonzero()[0]  # np.flatnonzero, without its wrappers
-    num_boxes = conf.shape[2]
-    best = {}  # cell -> (flat entry, confidence), filled in cell order
+    rows, cols, num_boxes = shape
+    best = {}  # cell of the stack -> (flat entry, confidence), filled in cell order
     for e, c in zip(admitted.tolist(), conf.ravel()[admitted].tolist()):
         cell = e // num_boxes
         if cell not in best or c > best[cell][1]:
             best[cell] = (e, c)
-    cols = conf.shape[1]
-    flat_boxes = grid.boxes.reshape(-1, 4)
-    out = []
+    out = [[] for _ in grids]
     for cell, (e, c) in best.items():
-        i, j = divmod(cell, cols)
+        g, ij = divmod(cell, rows * cols)
+        i, j = divmod(ij, cols)
+        k = e - cell * num_boxes
         # tolist() keeps numpy scalars out of the downstream IoU arithmetic
-        out.append(Detection(i, j, e - cell * num_boxes, c, tuple(flat_boxes[e].tolist())))
-    return out
+        out[g].append(Detection(i, j, k, c, tuple(grids[g].boxes[i, j, k].tolist())))
+    return out[0] if single else out
+
+
+def _corners(box):
+    """(x0, y0, x1, y1, area) of a (cx, cy, w, h) box."""
+    cx, cy, w, h = box
+    return cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2, w * h
+
+
+def _overlap(a, b):
+    """Intersection over union of two boxes given by _corners."""
+    iw = min(a[2], b[2]) - max(a[0], b[0])
+    ih = min(a[3], b[3]) - max(a[1], b[1])
+    inter = max(iw, 0.0) * max(ih, 0.0)
+    union = a[4] + b[4] - inter
+    return inter / union if union > 0.0 else 0.0
 
 
 def iou(box_a, box_b):
     """Intersection over union of two (cx, cy, w, h) boxes; 0 if both are
     degenerate."""
-    ax0, ay0 = box_a[0] - box_a[2] / 2, box_a[1] - box_a[3] / 2
-    ax1, ay1 = box_a[0] + box_a[2] / 2, box_a[1] + box_a[3] / 2
-    bx0, by0 = box_b[0] - box_b[2] / 2, box_b[1] - box_b[3] / 2
-    bx1, by1 = box_b[0] + box_b[2] / 2, box_b[1] + box_b[3] / 2
-    iw = min(ax1, bx1) - max(ax0, bx0)
-    ih = min(ay1, by1) - max(ay0, by0)
-    inter = max(iw, 0.0) * max(ih, 0.0)
-    union = box_a[2] * box_a[3] + box_b[2] * box_b[3] - inter
-    return inter / union if union > 0.0 else 0.0
+    return _overlap(_corners(box_a), _corners(box_b))
 
 
 def _conf_order(dets):
@@ -183,12 +200,14 @@ def score_against_truth(dets, truth, match_iou=0.5):
     if not 0.0 < match_iou <= 1.0:
         raise ValueError("match_iou must be in (0, 1]")
     matched = [False] * len(truth)
+    truth_corners = [_corners(tbox) for tbox in truth]  # once per call, not per detection
     correct = false = overlapped = 0
     for det in _conf_order(dets):
+        box = _corners(det.box)
         best_free, best_free_iou = -1, 0.0
         best_any_iou = 0.0
-        for idx, tbox in enumerate(truth):
-            v = iou(det.box, tbox)
+        for idx, tbox in enumerate(truth_corners):
+            v = _overlap(box, tbox)
             best_any_iou = max(best_any_iou, v)
             if not matched[idx] and v > best_free_iou:
                 best_free, best_free_iou = idx, v

@@ -79,6 +79,8 @@ def read_matrix_csv(path):
         arr = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64, encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text: {exc.reason}") from exc
+    except ValueError as exc:  # a cell that is not a number, or a ragged row
+        raise ValueError(f"{path}: {exc}") from exc
     if arr.size == 0:
         raise ValueError(f"{path}: empty matrix")
     return arr
@@ -189,8 +191,9 @@ def load_trace(path):
         t = _count(path, line, row, "t")
         num_objects = _count(path, line, row, "num_objects")
         flow_path = base / row["flow_file"]
+        flow = load_flow_map(flow_path)  # whose errors name the file
         try:
-            flow = check_flow_map(load_flow_map(flow_path))
+            flow = check_flow_map(flow)
         except ValueError as exc:
             raise ValueError(f"{flow_path}: {exc}") from exc
         grid = load_grid_csv(base / row["conf_file"])

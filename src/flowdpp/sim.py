@@ -6,9 +6,11 @@ detector variants with their latency profiles, advances the queue under a
 policy, and returns a deterministic per-step time series as columns
 (SimResult).
 
-run steps frames in blocks of BLOCK_FRAMES, thresholding a block's flow
-maps in one flowmap.process call (see h_thresholds) that stacks them: 32
-maps of 32 x 32 take 256 KiB.
+run steps frames in blocks of BLOCK_FRAMES.  Its block stage (h_detections)
+emulates H once per frame: one flowmap.process call stacks the block's maps
+of one shape (32 maps of 32 x 32 take 256 KiB), one threshold_detections
+call thresholds all of its non-empty grids, and one NMS runs per frame.
+T's detections are read off H's (see emulate_detector).
 
 Frame generation consumes its own RNG stream and never depends on policy
 decisions, so runs with the same seed see identical frames regardless of the
@@ -35,7 +37,7 @@ from .policies import DISCOUNT, LEARNING_RATE, ReinforcePolicy, make_policy_stat
 
 __all__ = [
     "CPU_LATENCY", "GPU_LATENCY", "BLOCK_FRAMES", "ScenarioConfig", "FrameObservation",
-    "FrameGenerator", "generate_frame", "h_thresholds", "emulate_detector", "SimResult", "step",
+    "FrameGenerator", "generate_frame", "h_detections", "emulate_detector", "SimResult", "step",
     "run", "check_frames", "summarize", "Summary", "benchmark_config", "train_reinforce",
 ]
 
@@ -102,7 +104,7 @@ class ScenarioConfig:
         for name in ("base_latency_h", "base_latency_t"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be > 0")
-        # Checked here, once per run, because emulate_detector skips
+        # Checked here, once per run, because h_detections skips
         # thresholding and NMS (and their checks) on empty frames and
         # generate_frame builds grids without re-checking them.
         for name in ("flow_rows", "flow_cols", "grid_rows", "grid_cols", "boxes_per_cell"):
@@ -229,51 +231,57 @@ class FrameGenerator:
         return generate_frame(sc, self.rng, t, self.regime)
 
 
-def h_thresholds(frames, scenario):
-    """H's flow-lowered threshold row for each frame, or None where the grid
-    holds no positive confidence and the map is never read.  The 2-D maps
-    of one shape share one flowmap.process call; each field has its own."""
+def h_detections(frames, scenario):
+    """H's post-NMS detections on each frame of a block.
+
+    A frame whose grid holds no positive confidence (grids lie in [0, 1])
+    gets [] and its map is never read: every threshold is positive (c_th >
+    0, and the flow-lowered ones are at least c_th/(1+e^2)).  The other
+    frames' 2-D maps of one shape share one flowmap.process call, and each
+    field has its own; one threshold_detections call then takes all of
+    their grids and rows, and NMS runs once per frame.
+    """
     sc = scenario
-    groups = {}  # a map shape, or a field's frame index -> frame indices
-    for i, frame in enumerate(frames):
-        if np.count_nonzero(frame.grid.conf):
-            groups.setdefault(frame.flow.shape if frame.flow.ndim == 2 else i, []).append(i)
-    rows = {}
-    for key, indices in groups.items():
-        maps = [frames[i].flow for i in indices]
-        out = flowmap.process(maps if isinstance(key, tuple) else maps[0], sc.grid_rows,
-                              sc.grid_cols, sc.boxes_per_cell, sc.c_th)
-        rows.update(zip(indices, out.reshape(len(indices), -1)))
-    return [rows.get(i) for i in range(len(frames))]
+    order = [i for i, frame in enumerate(frames) if np.count_nonzero(frame.grid.conf)]
+    dets = [[] for _ in frames]
+    if not order:
+        return dets
+    groups = {}  # a map shape, or a field's frame index -> positions in order
+    for n, i in enumerate(order):
+        flow = frames[i].flow
+        groups.setdefault(flow.shape if flow.ndim == 2 else i, []).append(n)
+    rows = np.empty((len(order), sc.grid_rows * sc.grid_cols * sc.boxes_per_cell))
+    for key, at in groups.items():
+        maps = [frames[order[n]].flow for n in at]
+        rows[at] = flowmap.process(maps if isinstance(key, tuple) else maps[0], sc.grid_rows,
+                                   sc.grid_cols, sc.boxes_per_cell, sc.c_th).reshape(len(at), -1)
+    found = threshold_detections([frames[i].grid for i in order], rows)
+    for i, admitted in zip(order, found):
+        dets[i] = nms(admitted, sc.nms_iou)
+    return dets
 
 
-def emulate_detector(frame, alpha, scenario, thresholds_h):
-    """Run one detector variant on a frame.
+def emulate_detector(frame, alpha, scenario, dets_h):
+    """Run one detector variant on a frame, given H's post-NMS detections
+    dets_h on it from h_detections.
 
-    T thresholds the grid with the scalar c_th; H with thresholds_h, the
-    frame's flow-lowered row from h_thresholds.  Since every lowered
-    threshold is below c_th, H's pre-NMS detections are a superset of T's.
-    Latency is base plus a per-object term on the frame's true object count.
-
-    A frame whose grid holds no nonzero confidence (grids lie in [0, 1], so
-    none is positive) yields no detections under either variant, because
-    every threshold is positive (c_th > 0, and the flow-lowered ones are at
-    least c_th/(1+e^2)); such a frame skips thresholding and NMS, and
-    thresholds_h is not read.
+    H returns dets_h; T returns those with confidence above c_th, which are
+    exactly T's own post-NMS detections.  Every H threshold is at most c_th,
+    so T admits exactly the entries H admits above c_th; in a cell where T
+    admits any, H keeps the same best entry, ties included; and greedy NMS
+    visits all of those before any H-only detection, whose confidence is
+    at most c_th, so it keeps the same ones.  Latency is base plus a
+    per-object term on the frame's true object count.
 
     Returns (post-NMS detections, detected count, seconds per cycle).
     """
     sc = scenario
     if alpha is ModelChoice.H:
-        base, per_obj = sc.base_latency_h, sc.per_object_latency_h
+        dets, base, per_obj = dets_h, sc.base_latency_h, sc.per_object_latency_h
     else:
+        dets = [d for d in dets_h if d.confidence > sc.c_th]
         base, per_obj = sc.base_latency_t, sc.per_object_latency_t
-    p = base + per_obj * frame.num_objects
-    if not np.count_nonzero(frame.grid.conf):
-        return [], 0, p
-    thresholds = thresholds_h if alpha is ModelChoice.H else sc.c_th
-    dets = nms(threshold_detections(frame.grid, thresholds), sc.nms_iou)
-    return dets, len(dets), p
+    return dets, len(dets), base + per_obj * frame.num_objects
 
 
 @dataclass(eq=False)
@@ -301,16 +309,16 @@ class SimResult:
         return np.concatenate(([0.0], self.q[:-1]))
 
 
-def step(q, prev, frame, thresholds_h, policy, scenario, cfg, rng, collect=None):
+def step(q, prev, frame, dets_h, policy, scenario, cfg, rng, collect=None):
     """Advance the queue one step under the policy's decision on this frame.
 
     q is the backlog before it, prev the previous step's (a, b, perf) and
-    thresholds_h the frame's H row.  Returns the step's row (alpha, q after,
+    dets_h H's detections on the frame.  Returns the step's row (alpha, q after,
     a, b, perf, p, tpr, recall); tpr and recall are NaN when unlabeled.
     """
     sc = scenario
-    dets_h, num_h, p_h = emulate_detector(frame, ModelChoice.H, sc, thresholds_h)
-    dets_t, num_t, p_t = emulate_detector(frame, ModelChoice.T, sc, thresholds_h)
+    dets_h, num_h, p_h = emulate_detector(frame, ModelChoice.H, sc, dets_h)
+    dets_t, num_t, p_t = emulate_detector(frame, ModelChoice.T, sc, dets_h)
     obs = StepObservation(num_h, num_t, p_h, p_t, sc.couple_arrival)
     alpha = policy.decide(q, prev, obs, cfg, rng)
 
@@ -364,8 +372,8 @@ def run(scenario, policy, cfg=None, frames=None, seed=None, collect=None):
     for start in range(0, horizon, BLOCK_FRAMES):
         times = range(start, min(start + BLOCK_FRAMES, horizon))
         block = [gen.next(t) for t in times] if frames is None else frames[start:times.stop]
-        for frame, thresholds_h in zip(block, h_thresholds(block, scenario)):
-            row = step(q, prev, frame, thresholds_h, policy, scenario, cfg, policy_rng, collect)
+        for frame, dets_h in zip(block, h_detections(block, scenario)):
+            row = step(q, prev, frame, dets_h, policy, scenario, cfg, policy_rng, collect)
             rows.append(row)
             q, prev = row[1], row[2:5]
     # one contiguous float64 row per column: (q, a, b, perf, p, tpr, recall)

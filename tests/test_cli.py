@@ -299,6 +299,16 @@ class TestProcessFlowCommand:
         assert capsys.readouterr().err.startswith(f"error: {src}: not UTF-8 text")
         assert not out.exists()
 
+    def test_matrix_csv_parse_error_names_the_file(self, tmp_path, capsys):
+        src = tmp_path / "bad.csv"
+        src.write_text("0,1,x\n")
+        with pytest.raises(ValueError) as parse_error:  # numpy's own wording
+            np.loadtxt(src, delimiter=",", ndmin=2, dtype=np.float64, encoding="utf-8")
+        out = tmp_path / "t.csv"
+        assert main(["process-flow", str(src), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {src}: {parse_error.value}\n"
+        assert not out.exists()
+
     def test_missing_input_exits_2(self, tmp_path, capsys):
         rc = main(["process-flow", str(tmp_path / "nope.flo"), "--out", str(tmp_path / "o.csv")])
         assert rc == 2
@@ -732,6 +742,27 @@ class TestTraceInputErrors:
         trace_path = self.write_trace(tmp_path, flow_text=flow_text)
         message = "flow0.csv: flow map contains non-finite"
         self.assert_exits_2(tmp_path, trace_path, capsys, message)
+
+    def assert_exact_error(self, tmp_path, trace_path, capsys, message):
+        cfg_path = self.write_run_config(tmp_path, trace_path)
+        for command in ("simulate", "compare"):
+            assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / command)]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_short_flo_header_names_the_file_once(self, tmp_path, capsys):
+        # a 5-byte .flo file, cut inside its header after the magic "PIEH"
+        trace_path = self.write_trace(tmp_path, row="0,stationary,0,f.flo,conf0.csv\n")
+        flo = trace_path.parent / "f.flo"
+        flo.write_bytes(b"PIEH\x02")
+        self.assert_exact_error(tmp_path, trace_path, capsys,
+                                f"{flo}: truncated or invalid .flo header")
+
+    def test_flow_csv_parse_error_names_the_file_once(self, tmp_path, capsys):
+        trace_path = self.write_trace(tmp_path, flow_text="0,x\n2,3\n")
+        flow = trace_path.parent / "flow0.csv"
+        with pytest.raises(ValueError) as parse_error:  # numpy's own wording
+            np.loadtxt(flow, delimiter=",", ndmin=2, dtype=np.float64, encoding="utf-8")
+        self.assert_exact_error(tmp_path, trace_path, capsys, f"{flow}: {parse_error.value}")
 
     def test_trace_not_utf8(self, tmp_path, capsys):
         # a Latin-1 regime label after a valid header

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowdpp import sim
+from flowdpp.controller import ModelChoice
 from flowdpp.detection import (
     ConfidenceGrid,
     Detection,
@@ -201,6 +203,80 @@ class TestThresholdDetections:
         cells_lo = {(d.row, d.col): d.confidence for d in threshold_detections(grid, lo)}
         for cell, conf in cells_hi.items():
             assert cell in cells_lo and cells_lo[cell] >= conf
+
+
+# boxes that coincide, overlap in part or not at all, so NMS both keeps and
+# suppresses
+PREFIX_BOXES = [(0.5, 0.5, 0.2, 0.2), (0.55, 0.5, 0.2, 0.2), (0.5, 0.5, 0.2, 0.2),
+                (0.6, 0.6, 0.3, 0.1), (0.2, 0.8, 0.1, 0.1)]
+
+
+@st.composite
+def prefix_cases(draw):
+    """(grid, per-cell threshold row up to and including c_th, c_th): the
+    confidences sit at c_th, one ulp either side of it, at the row's values
+    or anywhere, often tied within and across cells."""
+    c_th = draw(st.sampled_from([0.5, 0.25, 1.0]) | st.floats(0.01, 1.0))
+    rows, cols, k = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    cells = rows * cols
+    levels = [0.0, c_th, np.nextafter(c_th, 0.0), min(np.nextafter(c_th, 2.0), 1.0)]
+    row = np.array(draw(st.lists(st.sampled_from(levels[1:3]) | st.floats(0.0, c_th),
+                                 min_size=cells, max_size=cells)))
+    conf = draw(st.lists(st.sampled_from(levels + row.tolist()) | st.floats(0.0, 1.0),
+                         min_size=cells * k, max_size=cells * k))
+    boxes = draw(st.lists(st.sampled_from(PREFIX_BOXES), min_size=cells * k,
+                          max_size=cells * k))
+    grid = ConfidenceGrid(np.reshape(conf, (rows, cols, k)), np.reshape(boxes, (rows, cols, k, 4)))
+    return grid, np.tile(row, k), c_th
+
+
+class TestPrefixRule:
+    """With every H threshold at most c_th, T's post-NMS detections are H's
+    post-NMS detections above c_th: what sim.emulate_detector relies on."""
+
+    @given(prefix_cases(), st.sampled_from([0.0, 0.2, 1.0]))
+    @settings(max_examples=400)
+    def test_t_is_h_above_c_th(self, case, t):
+        grid, row, c_th = case
+        dets_h = nms(threshold_detections(grid, row), t)
+        want = nms(threshold_detections(grid, c_th), t)
+        assert [d for d in dets_h if d.confidence > c_th] == want
+        rows, cols, k = grid.shape
+        scenario = sim.ScenarioConfig(c_th=c_th, nms_iou=t, grid_rows=rows, grid_cols=cols,
+                                      boxes_per_cell=k)
+        frame = sim.FrameObservation(0, sim.DRIVING, [], np.zeros((rows, cols)), grid)
+        assert sim.emulate_detector(frame, ModelChoice.T, scenario, dets_h)[0] == want
+        assert sim.emulate_detector(frame, ModelChoice.H, scenario, dets_h)[0] is dets_h
+
+    @given(st.lists(prefix_cases(), min_size=1, max_size=33), st.data())
+    @settings(max_examples=60)
+    def test_list_equals_each_grid_alone(self, cases, data):
+        shape = cases[0][0].shape
+        empty = ConfidenceGrid(np.zeros(shape), np.zeros(shape + (4,)))
+        grids, rows = [], []
+        for grid, row, _ in cases:
+            grid = grid if grid.shape == shape and data.draw(st.booleans()) else empty
+            grids.append(grid)
+            rows.append(row if row.size == grid.conf.size else np.full(grid.conf.size, 0.5))
+        got = threshold_detections(grids, np.array(rows))
+        assert len(got) == len(grids)
+        for grid, row, dets in zip(grids, rows, got):
+            assert dets == threshold_detections(grid, row)
+        for scalar in (0.0, 0.5):
+            assert threshold_detections(grids, scalar) == [
+                threshold_detections(grid, scalar) for grid in grids
+            ]
+
+    def test_list_rejects_rows_of_another_length(self):
+        grids = [make_grid([[[0.5]]]), make_grid([[[0.7]]])]
+        assert threshold_detections(grids, np.array([[0.1], [0.8]])) == [
+            threshold_detections(grids[0], [0.1]), []
+        ]
+        for rows in (np.array([[0.1, 0.2], [0.3, 0.4]]), np.array([0.1, 0.2]), np.array([[0.1]])):
+            with pytest.raises(ValueError, match="do not match"):
+                threshold_detections(grids, rows)
+        with pytest.raises(ValueError, match="one shape"):
+            threshold_detections([grids[0], make_grid([[[0.5, 0.6]]])], 0.5)
 
 
 class TestIou:

@@ -58,16 +58,16 @@ def consumed(monkeypatch):
     return frames
 
 
-def h_row(frame, sc):
-    """The H threshold row sim.run passes with this frame, from a block of one."""
-    (row,) = sim.h_thresholds([frame], sc)
-    return row
+def h_dets(frame, sc):
+    """H's detections sim.run passes with this frame, from a block of one."""
+    (dets,) = sim.h_detections([frame], sc)
+    return dets
 
 
 def frame_observation(frame, sc, coupled_arrival=False):
     """The StepObservation that sim.step scores on this frame."""
-    _, num_h, p_h = sim.emulate_detector(frame, ModelChoice.H, sc, h_row(frame, sc))
-    _, num_t, p_t = sim.emulate_detector(frame, ModelChoice.T, sc, h_row(frame, sc))
+    _, num_h, p_h = sim.emulate_detector(frame, ModelChoice.H, sc, h_dets(frame, sc))
+    _, num_t, p_t = sim.emulate_detector(frame, ModelChoice.T, sc, h_dets(frame, sc))
     return StepObservation(num_h, num_t, p_h, p_t, coupled_arrival)
 
 
@@ -223,8 +223,8 @@ class TestEmulateDetector:
 
     def test_latency_model(self):
         sc, frame = self.make_frame()
-        _, _, p_h = sim.emulate_detector(frame, ModelChoice.H, sc, h_row(frame, sc))
-        _, _, p_t = sim.emulate_detector(frame, ModelChoice.T, sc, h_row(frame, sc))
+        _, _, p_h = sim.emulate_detector(frame, ModelChoice.H, sc, h_dets(frame, sc))
+        _, _, p_t = sim.emulate_detector(frame, ModelChoice.T, sc, h_dets(frame, sc))
         n = frame.num_objects
         assert p_h == pytest.approx(sc.base_latency_h + 0.001 * n)
         assert p_t == pytest.approx(sc.base_latency_t + 0.001 * n)
@@ -254,16 +254,16 @@ class TestEmulateDetector:
             boxes[frame.grid.conf == 0.0] = 1e300
             poisoned = dataclasses.replace(frame, grid=ConfidenceGrid(frame.grid.conf, boxes))
             for alpha in (ModelChoice.H, ModelChoice.T):
-                dets = sim.emulate_detector(frame, alpha, sc, h_row(frame, sc))
-                assert sim.emulate_detector(poisoned, alpha, sc, h_row(poisoned, sc)) == dets
+                dets = sim.emulate_detector(frame, alpha, sc, h_dets(frame, sc))
+                assert sim.emulate_detector(poisoned, alpha, sc, h_dets(poisoned, sc)) == dets
                 admitted += dets[1]
         assert admitted > 0
 
     def test_hybrid_detects_at_least_as_many_post_nms(self):
         for seed in range(30):
             sc, frame = self.make_frame(seed)
-            _, num_h, _ = sim.emulate_detector(frame, ModelChoice.H, sc, h_row(frame, sc))
-            _, num_t, _ = sim.emulate_detector(frame, ModelChoice.T, sc, h_row(frame, sc))
+            _, num_h, _ = sim.emulate_detector(frame, ModelChoice.H, sc, h_dets(frame, sc))
+            _, num_t, _ = sim.emulate_detector(frame, ModelChoice.T, sc, h_dets(frame, sc))
             assert num_h >= num_t
 
 
@@ -420,8 +420,8 @@ class TestRun:
                 assert alpha is dpp_select(q, obs, cfg)
             elif name != "uniform":
                 assert alpha is policy.choice
-            dets, _, p = sim.emulate_detector(frame, alpha, sc, h_row(frame, sc))
-            _, _, p_t = sim.emulate_detector(frame, ModelChoice.T, sc, h_row(frame, sc))
+            dets, _, p = sim.emulate_detector(frame, alpha, sc, h_dets(frame, sc))
+            _, _, p_t = sim.emulate_detector(frame, ModelChoice.T, sc, h_dets(frame, sc))
             a = arrival(cfg.w_fps, p if couple else p_t)
             b = service(alpha, cfg)
             metrics = score_against_truth(dets, frame.truth_boxes, sc.match_iou)
@@ -491,10 +491,11 @@ class TestTrainReinforce:
         assert len(episode) == 8
 
 
-def full_detector(frame, alpha, scenario, thresholds_h):
-    """emulate_detector without the empty-grid shortcut: always threshold and
-    suppress, with flow-lowered thresholds for H and c_th for T.  It does not
-    read thresholds_h: H thresholds this frame's own map, one call per frame."""
+def full_detector(frame, alpha, scenario, dets_h):
+    """emulate_detector without the empty-grid shortcut or the shared H pass:
+    always threshold and suppress, with flow-lowered thresholds for H and
+    c_th for T.  It does not read dets_h: H thresholds this frame's own map,
+    one call per frame."""
     sc = scenario
     if alpha is ModelChoice.H:
         thresholds = flowmap.process(
@@ -532,8 +533,8 @@ def generated_frames(sc, seeds=(0, 1, 2), steps=60):
 
 
 class TestEmptyGridShortcut:
-    """emulate_detector skips the flow map, thresholding and NMS on frames
-    whose grid has no positive confidence; outputs must not change."""
+    """h_detections skips the flow map, thresholding and NMS on frames whose
+    grid has no positive confidence; outputs must not change."""
 
     @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_SCENARIOS))
     def test_equals_full_path(self, name):
@@ -545,7 +546,7 @@ class TestEmptyGridShortcut:
             else:
                 empty += 1
             for alpha in (ModelChoice.H, ModelChoice.T):
-                row = h_row(frame, sc)
+                row = h_dets(frame, sc)
                 expected = full_detector(frame, alpha, sc, row)
                 assert sim.emulate_detector(frame, alpha, sc, row) == expected
         assert empty > 0 and non_empty > 0
@@ -562,7 +563,7 @@ class TestEmptyGridShortcut:
         calls = []
         process = flowmap.process
         monkeypatch.setattr(flowmap, "process", lambda *a: calls.append(a) or process(*a))
-        row = h_row(frame, sc)
+        row = h_dets(frame, sc)
         for alpha in (ModelChoice.H, ModelChoice.T):
             expected = full_detector(frame, alpha, sc, row)
             assert sim.emulate_detector(frame, alpha, sc, row) == expected
@@ -576,7 +577,7 @@ class TestEmptyGridShortcut:
         expected = 0
         for frame in generated_frames(sc, seeds=(0,), steps=150):
             before = len(calls)
-            row = h_row(frame, sc)
+            row = h_dets(frame, sc)
             sim.emulate_detector(frame, ModelChoice.H, sc, row)
             sim.emulate_detector(frame, ModelChoice.T, sc, row)
             if frame.grid.conf.any():
@@ -654,8 +655,9 @@ def mixed_frames(count=70):
 
 
 class TestBlocks:
-    """run thresholds each block of frames' maps in one flowmap.process call;
-    every output equals the per-frame path's."""
+    """run thresholds each block of frames' maps in one flowmap.process call
+    and its grids in one threshold_detections call; every output equals the
+    per-frame path's."""
 
     def test_one_process_call_per_block(self, consumed, monkeypatch):
         sc = tiny_scenario(horizon=100, mean_objects_stationary=1.0)
@@ -675,7 +677,7 @@ class TestBlocks:
         used = []
         threshold = sim.threshold_detections
         monkeypatch.setattr(sim, "threshold_detections",
-                            lambda grid, t: used.append((grid, t)) or threshold(grid, t))
+                            lambda grids, t: used.extend(zip(grids, t)) or threshold(grids, t))
         sim.run(sc, DppPolicy(), frames=frames)
         frame_of = {id(f.grid): f for f in frames}
         rows = [(frame_of[id(grid)], t) for grid, t in used if not np.isscalar(t)]
@@ -703,14 +705,14 @@ class TestBlocks:
         blocked = outputs("blocked")
         emulate = sim.emulate_detector
 
-        def per_frame(frame, alpha, scenario, thresholds_h):
-            # H's thresholds from this frame's own map, one process call each
-            if alpha is ModelChoice.H and frame.grid.conf.any():
+        def per_frame(frame, alpha, scenario, dets_h):
+            # H's detections from this frame's own map, one process call each
+            dets_h = []
+            if frame.grid.conf.any():
                 thresholds_h = flowmap.process(frame.flow, scenario.grid_rows, scenario.grid_cols,
                                                scenario.boxes_per_cell, scenario.c_th)
-            else:
-                thresholds_h = None
-            return emulate(frame, alpha, scenario, thresholds_h)
+                dets_h = nms(threshold_detections(frame.grid, thresholds_h), scenario.nms_iou)
+            return emulate(frame, alpha, scenario, dets_h)
 
         monkeypatch.setattr(sim, "emulate_detector", per_frame)
         assert outputs("per_frame") == blocked
@@ -744,7 +746,7 @@ def old_emulate_detector(frame, alpha, scenario, thresholds_h):
 
 
 def use_old_detector_path(monkeypatch):
-    monkeypatch.setattr(sim, "h_thresholds", old_h_thresholds)
+    monkeypatch.setattr(sim, "h_detections", old_h_thresholds)
     monkeypatch.setattr(sim, "emulate_detector", old_emulate_detector)
 
 
