@@ -153,11 +153,15 @@ def _corners(box):
 
 
 def _overlap(a, b):
-    """Intersection over union of two boxes given by _corners."""
-    iw = min(a[2], b[2]) - max(a[0], b[0])
-    ih = min(a[3], b[3]) - max(a[1], b[1])
-    inter = max(iw, 0.0) * max(ih, 0.0)
-    union = a[4] + b[4] - inter
+    """Intersection over union of two boxes given by _corners.  Each
+    conditional is min(x, y) or max(x, y) as the builtins pick, ties and
+    signed zeros included, at a fraction of their call cost."""
+    ax0, ay0, ax1, ay1, area_a = a
+    bx0, by0, bx1, by1, area_b = b
+    iw = (bx1 if bx1 < ax1 else ax1) - (bx0 if bx0 > ax0 else ax0)
+    ih = (by1 if by1 < ay1 else ay1) - (by0 if by0 > ay0 else ay0)
+    inter = (0.0 if iw < 0.0 else iw) * (0.0 if ih < 0.0 else ih)
+    union = area_a + area_b - inter
     return inter / union if union > 0.0 else 0.0
 
 
@@ -208,7 +212,8 @@ def score_against_truth(dets, truth, match_iou=0.5):
         best_any_iou = 0.0
         for idx, tbox in enumerate(truth_corners):
             v = _overlap(box, tbox)
-            best_any_iou = max(best_any_iou, v)
+            if v > best_any_iou:
+                best_any_iou = v
             if not matched[idx] and v > best_free_iou:
                 best_free, best_free_iou = idx, v
         if best_free >= 0 and best_free_iou >= match_iou:

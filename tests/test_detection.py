@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowdpp import sim
@@ -279,6 +279,11 @@ class TestPrefixRule:
             threshold_detections([grids[0], make_grid([[[0.5, 0.6]]])], 0.5)
 
 
+IOU_LEVELS = st.sampled_from([0.0, -0.0, 0.1, 0.2, 0.5])
+IOU_BOXES = st.tuples(IOU_LEVELS | st.floats(-1.0, 1.0), IOU_LEVELS | st.floats(-1.0, 1.0),
+                      IOU_LEVELS | st.floats(0.0, 1.0), IOU_LEVELS | st.floats(0.0, 1.0))
+
+
 class TestIou:
     def test_identical(self):
         assert iou((0.5, 0.5, 0.2, 0.2), (0.5, 0.5, 0.2, 0.2)) == pytest.approx(1.0)
@@ -296,6 +301,18 @@ class TestIou:
     def test_symmetry(self):
         a, b = (0.3, 0.4, 0.2, 0.3), (0.35, 0.45, 0.25, 0.2)
         assert iou(a, b) == pytest.approx(iou(b, a))
+
+    @given(IOU_BOXES, IOU_BOXES)
+    @example((-0.0, 0.5, -0.0, 0.2), (-0.1, 0.5, 0.2, 0.2))  # an edge at 0.0 against -0.0
+    @example((-0.1, 0.5, 0.2, 0.2), (-0.0, 0.5, -0.0, 0.2))
+    @settings(max_examples=500)
+    def test_bit_identical_to_min_max_formula(self, a, b):
+        # the formula iou was first written as; repr tells -0.0 from 0.0
+        ax0, ay0, ax1, ay1 = a[0] - a[2] / 2, a[1] - a[3] / 2, a[0] + a[2] / 2, a[1] + a[3] / 2
+        bx0, by0, bx1, by1 = b[0] - b[2] / 2, b[1] - b[3] / 2, b[0] + b[2] / 2, b[1] + b[3] / 2
+        inter = max(min(ax1, bx1) - max(ax0, bx0), 0.0) * max(min(ay1, by1) - max(ay0, by0), 0.0)
+        union = a[2] * a[3] + b[2] * b[3] - inter
+        assert repr(iou(a, b)) == repr(inter / union if union > 0.0 else 0.0)
 
 
 def brute_force_nms(dets, iou_threshold):
