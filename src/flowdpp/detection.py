@@ -95,19 +95,6 @@ class DetectionMetrics:
         return self.correctly_detected / denom if denom > 0 else 0.0
 
 
-def _threshold_tensor(shape, count, thresholds):
-    rows, cols, k = shape
-    thr = np.asarray(thresholds, dtype=np.float64)
-    if thr.ndim == 0:
-        return thr
-    if thr.shape != (count, rows * cols * k):
-        raise ValueError(
-            f"thresholds of shape {thr.shape} do not match {count} grid(s) of {rows}x{cols}x{k}"
-        )
-    # A row is k replicated blocks, each a row-major (row, col) plane.
-    return thr.reshape(count, k, rows, cols).transpose(0, 2, 3, 1)
-
-
 def threshold_detections(grids, thresholds):
     """Admit entries with confidence strictly above their threshold; keep the
     highest-confidence admitted box per cell.  Output is in row-major cell
@@ -127,10 +114,16 @@ def threshold_detections(grids, thresholds):
     shape = grids[0].shape
     if any(grid.shape != shape for grid in grids):
         raise ValueError("grids must share one shape")
-    conf = np.concatenate([grid.conf for grid in grids]).reshape((len(grids),) + shape)
-    thr = _threshold_tensor(shape, len(grids), thresholds)
-    admitted = (conf > thr).ravel().nonzero()[0]  # np.flatnonzero, without its wrappers
     rows, cols, num_boxes = shape
+    thr = np.asarray(thresholds, dtype=np.float64)
+    if thr.ndim:
+        if thr.shape != (len(grids), rows * cols * num_boxes):
+            raise ValueError(f"thresholds of shape {thr.shape} do not match {len(grids)} "
+                             f"grid(s) of {rows}x{cols}x{num_boxes}")
+        # A row is k replicated blocks, each a row-major (row, col) plane.
+        thr = thr.reshape(len(grids), num_boxes, rows, cols).transpose(0, 2, 3, 1)
+    conf = np.concatenate([grid.conf for grid in grids]).reshape((len(grids),) + shape)
+    admitted = (conf > thr).ravel().nonzero()[0]  # np.flatnonzero, without its wrappers
     best = {}  # cell of the stack -> (flat entry, confidence), filled in cell order
     for e, c in zip(admitted.tolist(), conf.ravel()[admitted].tolist()):
         cell = e // num_boxes
