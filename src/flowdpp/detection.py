@@ -3,7 +3,11 @@
 Boxes are (center_x, center_y, width, height) in normalized image
 coordinates.  A detection is admitted when its confidence is strictly above
 the threshold for its grid cell; per cell only the best admitted box
-survives, and NMS then removes cross-cell duplicates.
+survives, and NMS then removes cross-cell duplicates.  threshold_detections
+also takes a list of same-shape grids, one threshold row each.  With every
+threshold at most c, the post-NMS detections above c are exactly the
+post-NMS detections of thresholding at c, so sim.emulate_detector reads T
+off H.
 """
 
 from dataclasses import dataclass

@@ -672,6 +672,20 @@ class TestBlocks:
             assert 0 < len(maps) < len(block)
             assert len(maps) == len(expected) and all(m is f for m, f in zip(maps, expected))
 
+    def test_one_threshold_call_per_block_one_nms_per_frame(self, consumed, monkeypatch):
+        sc = tiny_scenario(horizon=100, mean_objects_stationary=1.0)
+        calls, suppressed = [], []
+        threshold, suppress = sim.threshold_detections, sim.nms
+        monkeypatch.setattr(sim, "threshold_detections",
+                            lambda grids, t: calls.append(grids) or threshold(grids, t))
+        monkeypatch.setattr(sim, "nms", lambda dets, t: suppressed.append(dets) or suppress(dets, t))
+        sim.run(sc, DppPolicy())
+        assert len(consumed) == 100 and len(calls) == -(-100 // sim.BLOCK_FRAMES)
+        for start, grids in zip(range(0, 100, sim.BLOCK_FRAMES), calls):
+            expected = [f.grid for f in consumed[start:start + sim.BLOCK_FRAMES] if f.grid.conf.any()]
+            assert len(grids) == len(expected) and all(g is e for g, e in zip(grids, expected))
+        assert len(suppressed) == sum(bool(f.grid.conf.any()) for f in consumed)
+
     def test_every_h_row_is_its_own_maps(self, monkeypatch):
         sc, frames = mixed_frames()
         used = []
