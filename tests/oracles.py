@@ -1,8 +1,8 @@
 """Independent reference computations shared by the tests.
 
 Nothing here is imported by the package: the Lyapunov drift-bound verifier
-checks simulated runs, and the straight-line MLP forward pass and REINFORCE
-objective check the batched learner in flowdpp.policies.
+checks simulated runs, and the straight-line MLP forward pass, the REINFORCE
+objective and the per-array Adam step check the learner in flowdpp.policies.
 """
 
 from dataclasses import dataclass, field
@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from flowdpp.controller import queue_update
-from flowdpp.policies import ACTION_INDEX
+from flowdpp.policies import ACTION_INDEX, ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
 
 def lyapunov(q):
@@ -91,3 +91,19 @@ def objective_oracle(params, episode, gamma=0.99):
         probs = forward_oracle(params, state)[0]
         total += np.log(probs[ACTION_INDEX[action]]) * g
     return total
+
+
+def adam_oracle(arrays, grads, m, v, step, lr):
+    """Adam step number step, one array at a time: the update as first
+    written, over lists of arrays in MlpParams.arrays() order.  Returns
+    (new arrays, new m, new v)."""
+    new_arrays, new_m, new_v = [], [], []
+    for a, g, m, v in zip(arrays, grads, m, v):
+        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
+        m_hat = m / (1.0 - ADAM_BETA1**step)
+        v_hat = v / (1.0 - ADAM_BETA2**step)
+        new_arrays.append(a + lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
+        new_m.append(m)
+        new_v.append(v)
+    return new_arrays, new_m, new_v

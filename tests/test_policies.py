@@ -21,7 +21,7 @@ from flowdpp.policies import (
     reinforce_flops,
     reinforce_update,
 )
-from oracles import forward_oracle, objective_oracle, returns_oracle
+from oracles import adam_oracle, forward_oracle, objective_oracle, returns_oracle
 
 
 def small_params(seed=0, sizes=(4, 5, 5, 2)):
@@ -44,6 +44,11 @@ def random_episode(rng, params, length=6):
         action = ModelChoice.H if rng.random() < 0.5 else ModelChoice.T
         episode.append((state, action, rng.normal()))
     return episode
+
+
+def bits(arrays):
+    """The arrays' entries as one int64 vector, so equality is bit equality."""
+    return np.concatenate([np.ravel(a) for a in arrays]).view(np.int64)
 
 
 def gradient_oracle(params, episode, gamma=0.99):
@@ -233,6 +238,28 @@ class TestReinforceUpdate:
         for got, want in zip(batched.params.arrays(), oracle.params.arrays()):
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
         assert oracle.opt.step == batched.opt.step == 40
+
+    @pytest.mark.parametrize("sizes", [(10, 128, 128, 2), (4, 5, 5, 2)])
+    def test_chained_updates_equal_per_array_adam_oracle(self, sizes):
+        # every fifth episode, the first included, has all-zero returns
+        rng = np.random.default_rng(43)
+        params = init_mlp(np.random.default_rng(47), sizes)
+        opt = AdamState.zeros_like(params)
+        want = [a.copy() for a in params.arrays()]
+        m, v = ([np.zeros_like(a) for a in want] for _ in range(2))
+        for step in range(1, 51):
+            episode = random_episode(rng, params, length=10)
+            if step % 5 == 1:
+                episode = [(s, a, 0.0) for s, a, _ in episode]
+            grads = policy_gradient(params, episode)
+            want, m, v = adam_oracle(want, grads, m, v, step, policies.LEARNING_RATE)
+            params, opt = reinforce_update(params, episode, opt=opt)
+            assert opt.step == step
+            np.testing.assert_array_equal(bits(params.arrays()), bits(want))
+            np.testing.assert_array_equal(bits(opt.m), bits(m))
+            np.testing.assert_array_equal(bits(opt.v), bits(v))
+        assert not np.array_equal(bits(params.arrays()), bits(init_mlp(
+            np.random.default_rng(47), sizes).arrays()))
 
     def test_optimizer_state_chains(self):
         rng = np.random.default_rng(19)
