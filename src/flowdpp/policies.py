@@ -11,7 +11,8 @@ The gradient runs over the whole episode as matrix products: one forward pass
 over the stacked (T, 10) state matrix and one backward pass over its rows,
 with no per-step loop.  A single decision runs the same layers as
 matrix-vector products, which give the same bits as that state's row of the
-batched pass.
+batched pass.  Adam runs over one flat vector of all the parameters, with
+the same elementwise operations, so the same bits, as one array at a time.
 """
 
 import enum
@@ -88,6 +89,17 @@ class MlpParams:
 
     def copy(self):
         return MlpParams(*[a.copy() for a in self.arrays()])
+
+    @classmethod
+    def _views(cls, flat, like):
+        """Consecutive views of a flat vector, shaped like the arrays of like,
+        wrapped without the checks above: flat must be finite, as
+        reinforce_update checks its new vector to be."""
+        params, at = object.__new__(cls), 0
+        for name, a in zip(("w1", "b1", "w2", "b2", "w3", "b3"), like.arrays()):
+            setattr(params, name, flat[at:at + a.size].reshape(a.shape))
+            at += a.size
+        return params
 
 
 def init_mlp(rng, sizes=(STATE_SIZE, HIDDEN_SIZE, HIDDEN_SIZE, NUM_ACTIONS)):
@@ -203,37 +215,52 @@ def policy_gradient(params, episode, gamma=DISCOUNT):
 
 @dataclass
 class AdamState:
-    m: list
-    v: list
+    """Adam's moments as flat vectors over MlpParams.arrays(), joined in order."""
+
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
 
     @classmethod
     def zeros_like(cls, params):
-        return cls(
-            m=[np.zeros_like(a) for a in params.arrays()],
-            v=[np.zeros_like(a) for a in params.arrays()],
-        )
+        size = sum(a.size for a in params.arrays())
+        return cls(m=np.zeros(size), v=np.zeros(size))
 
 
 def reinforce_update(params, episode, lr=LEARNING_RATE, gamma=DISCOUNT, opt=None):
     """One REINFORCE + Adam ascent step on an episode of (state, action,
     reward) triples.  Returns (new params, new optimizer state); the inputs
-    are not mutated.
+    are not mutated, and the new params are views of one new vector.
+
+    The gradient and the parameters are joined into vectors in
+    MlpParams.arrays() order.  Adam is m = b1*m + (1-b1)*g, v = b2*v +
+    ((1-b2)*g)*g and a + (lr*m_hat) / (sqrt(v_hat) + eps), each operation
+    elementwise over the vector, in place where that rounds the same.
     """
-    grads = policy_gradient(params, episode, gamma)
+    arrays = params.arrays()
     if opt is None:
         opt = AdamState.zeros_like(params)
+    size = sum(a.size for a in arrays)
+    if opt.m.shape != (size,) or opt.v.shape != (size,):
+        raise ValueError(f"Adam state of sizes {opt.m.size} and {opt.v.size} does not match "
+                         f"the network's {size} parameters")
+    g = np.concatenate([d.ravel() for d in policy_gradient(params, episode, gamma)])
     step = opt.step + 1
-    new_arrays, new_m, new_v = [], [], []
-    for a, g, m, v in zip(params.arrays(), grads, opt.m, opt.v):
-        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
-        m_hat = m / (1.0 - ADAM_BETA1**step)
-        v_hat = v / (1.0 - ADAM_BETA2**step)
-        new_arrays.append(a + lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
-        new_m.append(m)
-        new_v.append(v)
-    return MlpParams(*new_arrays), AdamState(new_m, new_v, step)
+    m = opt.m * ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v = (1.0 - ADAM_BETA2) * g
+    v *= g
+    v += opt.v * ADAM_BETA2
+    denom = np.sqrt(v / (1.0 - ADAM_BETA2**step))
+    denom += ADAM_EPS
+    delta = m / (1.0 - ADAM_BETA1**step)
+    delta *= lr
+    delta /= denom
+    flat = np.concatenate([a.ravel() for a in arrays], dtype=np.float64)
+    flat += delta
+    if not np.isfinite(flat).all():
+        raise ValueError("parameters must be finite")
+    return MlpParams._views(flat, params), AdamState(m, v, step)
 
 
 def reinforce_flops(params):

@@ -256,10 +256,35 @@ class TestReinforceUpdate:
             params, opt = reinforce_update(params, episode, opt=opt)
             assert opt.step == step
             np.testing.assert_array_equal(bits(params.arrays()), bits(want))
-            np.testing.assert_array_equal(bits(opt.m), bits(m))
-            np.testing.assert_array_equal(bits(opt.v), bits(v))
+            np.testing.assert_array_equal(opt.m.view(np.int64), bits(m))
+            np.testing.assert_array_equal(opt.v.view(np.int64), bits(v))
         assert not np.array_equal(bits(params.arrays()), bits(init_mlp(
             np.random.default_rng(47), sizes).arrays()))
+
+    def test_new_params_are_views_of_one_finite_vector(self):
+        params = small_params(23)
+        new, opt = reinforce_update(params, random_episode(np.random.default_rng(23), params))
+        flat = new.w1.base
+        assert flat.shape == opt.m.shape == opt.v.shape == (sum(a.size for a in params.arrays()),)
+        assert all(a.base is flat for a in new.arrays())
+        np.testing.assert_array_equal(np.concatenate([a.ravel() for a in new.arrays()]), flat)
+        assert [a.shape for a in new.arrays()] == [a.shape for a in params.arrays()]
+
+    def test_non_finite_step_is_rejected(self):
+        params = small_params(29)
+        episode = [(np.ones(4), ModelChoice.H, 1.0)]
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+            reinforce_update(params, episode, lr=np.inf)
+
+    @pytest.mark.parametrize("opt", [
+        AdamState.zeros_like(zero_params((4, 6, 5, 2))),  # another architecture: 77
+        AdamState(np.zeros(1), np.zeros(1)),  # would broadcast over every parameter
+        AdamState(np.zeros(67), np.zeros(1)),
+    ])
+    def test_rejects_optimizer_state_of_another_size(self, opt):
+        params = small_params(31)  # 67 parameters
+        with pytest.raises(ValueError, match=rf"sizes {opt.m.size} and {opt.v.size} .* 67 param"):
+            reinforce_update(params, [(np.ones(4), ModelChoice.H, 1.0)], opt=opt)
 
     def test_optimizer_state_chains(self):
         rng = np.random.default_rng(19)
