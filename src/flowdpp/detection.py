@@ -11,6 +11,7 @@ off H.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,8 +69,9 @@ class ConfidenceGrid:
         return self.conf.shape
 
 
-@dataclass(frozen=True)
-class Detection:
+class Detection(NamedTuple):
+    """An admitted grid entry; as a tuple, it equals a tuple of the same values."""
+
     row: int
     col: int
     box_index: int

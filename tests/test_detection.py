@@ -325,6 +325,19 @@ def brute_force_nms(dets, iou_threshold):
     return kept
 
 
+class TestDetection:
+    def test_immutable_and_hashable(self):
+        a = Detection(1, 2, 0, 0.75, (0.5, 0.5, 0.2, 0.2))
+        for name in ("row", "col", "box_index", "confidence", "box"):
+            with pytest.raises(AttributeError):
+                setattr(a, name, 0)
+        b = Detection(1, 2, 0, 0.75, (0.5, 0.5, 0.2, 0.2))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a.index == (1, 2, 0)
+        # a Detection is a tuple: it equals a plain tuple of the same values
+        assert a == (1, 2, 0, 0.75, (0.5, 0.5, 0.2, 0.2))
+
+
 class TestNms:
     def test_three_box_example(self):
         a = det(0.9, (0.5, 0.5, 0.2, 0.2), 0)
