@@ -130,7 +130,8 @@ def reference_frame(scenario, rng, t, regime):
 
 # Scenarios for generate_frame against reference_frame: saturated cells,
 # zero and -0.0 motion on a flat map, noise that rounds to -0.0, every object
-# missed or none, and a flow map the grid does not divide.
+# missed or none, flow maps the grid does not divide or that are tiny, and
+# the benchmark's training scene.
 FRAME_ORACLE_SCENARIOS = {
     "default": sim.ScenarioConfig(),
     "benchmark": sim.benchmark_config()[0],
@@ -151,6 +152,18 @@ FRAME_ORACLE_SCENARIOS = {
     "always missed": sim.ScenarioConfig(miss_prob=1.0, mean_objects_stationary=1.0),
     "uneven map": sim.ScenarioConfig(
         flow_rows=9, flow_cols=13, grid_rows=3, grid_cols=5, mean_objects_driving=3.0,
+    ),
+    # boxes span most of a map this small, so rectangles reach its last row
+    # and column and the one-pixel floor on their size takes effect
+    "tiny map": sim.ScenarioConfig(
+        flow_rows=1, flow_cols=2, grid_rows=1, grid_cols=2, mean_objects_driving=3.0,
+        mean_objects_stationary=3.0, object_motion_stationary=1.5,
+    ),
+    # perfbench's reinforce_train scene (acceptance criterion 7): motionless
+    # objects and no false positives, so no frame draws one
+    "reinforce_train": sim.ScenarioConfig(
+        start_driving=False, p_stay_stationary=1.0, p_stay_driving=0.0,
+        mean_objects_stationary=2.5, miss_prob=0.7, false_positive_rate=0.0,
     ),
 }
 
