@@ -153,24 +153,27 @@ def generate_frame(scenario, rng, t, regime):
     A uniform is lo + (hi - lo) * u, as Generator.uniform computes it.
 
     An unused slot keeps conf 0 and an all-zero box, which no threshold
-    admits.  A dict counts the used slots per cell.
+    admits.  A dict counts the used slots per cell.  Boxes lie inside
+    [0.025, 0.975] squared and centres below 0.85, so the pixel and cell
+    indices need no clamps, only a one-pixel floor on a rectangle's size;
+    poisson(0.0) draws nothing, so a zero false-positive rate is skipped.
     """
     sc = scenario
     moving = regime == DRIVING
-    mean = sc.mean_objects_driving if moving else sc.mean_objects_stationary
-    count = rng.poisson(mean)
+    count = rng.poisson(sc.mean_objects_driving if moving else sc.mean_objects_stationary)
     motion_scale = sc.object_motion_driving if moving else sc.object_motion_stationary
+    rows, cols, grid_rows, grid_cols = sc.flow_rows, sc.flow_cols, sc.grid_rows, sc.grid_cols
+    per_cell, miss_prob = sc.boxes_per_cell, sc.miss_prob
 
     if sc.flow_noise > 0.0:
-        flow = rng.standard_normal((sc.flow_rows, sc.flow_cols))
+        flow = rng.standard_normal((rows, cols))
         flow *= sc.flow_noise
         flow += 0.0  # -0.0 becomes 0.0, so the map holds no -0.0
     else:
-        flow = np.zeros((sc.flow_rows, sc.flow_cols))
+        flow = np.zeros((rows, cols))
 
-    shape = (sc.grid_rows, sc.grid_cols, sc.boxes_per_cell)
-    conf = np.zeros(shape)
-    boxes = np.zeros(shape + (4,))
+    conf = np.zeros((grid_rows, grid_cols, per_cell))
+    boxes = np.zeros(conf.shape + (4,))
     truth = []
     used = {}  # (i, j) -> slots taken in that cell
     for _ in range(count):
@@ -179,33 +182,30 @@ def generate_frame(scenario, rng, t, regime):
         w, h = 0.08 + (0.25 - 0.08) * u[2], 0.08 + (0.25 - 0.08) * u[3]
         motion = motion_scale * (0.5 + (1.0 - 0.5) * u[4]) if moving else motion_scale
         truth.append((cx, cy, w, h))
-        r0 = int(min(max((cy - h / 2) * sc.flow_rows, 0), sc.flow_rows - 1))
-        r1 = int(min(max((cy + h / 2) * sc.flow_rows, r0 + 1), sc.flow_rows))
-        c0 = int(min(max((cx - w / 2) * sc.flow_cols, 0), sc.flow_cols - 1))
-        c1 = int(min(max((cx + w / 2) * sc.flow_cols, c0 + 1), sc.flow_cols))
         if motion:  # adding a zero to a map without -0.0 changes no bit
-            flow[r0:r1, c0:c1] += motion
-        i = min(int(cy * sc.grid_rows), sc.grid_rows - 1)
-        j = min(int(cx * sc.grid_cols), sc.grid_cols - 1)
+            r0, r1 = int((cy - h / 2) * rows), int((cy + h / 2) * rows)
+            c0, c1 = int((cx - w / 2) * cols), int((cx + w / 2) * cols)
+            flow[r0:r1 if r1 > r0 else r0 + 1, c0:c1 if c1 > c0 else c0 + 1] += motion
+        i, j = int(cy * grid_rows), int(cx * grid_cols)
         k = used.get((i, j), 0)
-        if k >= sc.boxes_per_cell:
+        if k >= per_cell:
             continue  # cell saturated; object stays in the ground truth only
         used[i, j] = k + 1
         miss, c = rng.random(2).tolist()
-        lo, hi = sc.recoverable_conf if miss < sc.miss_prob else sc.detected_conf
+        lo, hi = sc.recoverable_conf if miss < miss_prob else sc.detected_conf
         conf[i, j, k] = lo + (hi - lo) * c
         boxes[i, j, k] = (cx, cy, w, h)
-    for _ in range(rng.poisson(sc.false_positive_rate)):
-        i = int(rng.integers(sc.grid_rows))
-        j = int(rng.integers(sc.grid_cols))
+    for _ in range(rng.poisson(sc.false_positive_rate) if sc.false_positive_rate else 0):
+        i = int(rng.integers(grid_rows))
+        j = int(rng.integers(grid_cols))
         k = used.get((i, j), 0)
-        if k >= sc.boxes_per_cell:
+        if k >= per_cell:
             continue
         used[i, j] = k + 1
         conf[i, j, k] = rng.uniform(*sc.false_conf)
         boxes[i, j, k] = (
-            (j + 0.5) / sc.grid_cols,
-            (i + 0.5) / sc.grid_rows,
+            (j + 0.5) / grid_cols,
+            (i + 0.5) / grid_rows,
             rng.uniform(0.05, 0.15),
             rng.uniform(0.05, 0.15),
         )
