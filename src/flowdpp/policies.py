@@ -11,8 +11,7 @@ The gradient runs over the whole episode as matrix products: one forward pass
 over the stacked (T, 10) state matrix and one backward pass over its rows,
 with no per-step loop.  A single decision runs the same layers as
 matrix-vector products, which give the same bits as that state's row of the
-batched pass.  Adam runs over one flat vector of all the parameters, with
-the same elementwise operations, so the same bits, as one array at a time.
+batched pass.  Adam steps one flat vector of all the parameters.
 """
 
 import enum
@@ -92,13 +91,11 @@ class MlpParams:
 
     @classmethod
     def _views(cls, flat, like):
-        """Consecutive views of a flat vector, shaped like the arrays of like,
-        wrapped without the checks above: flat must be finite, as
-        reinforce_update checks its new vector to be."""
-        params, at = object.__new__(cls), 0
-        for name, a in zip(("w1", "b1", "w2", "b2", "w3", "b3"), like.arrays()):
-            setattr(params, name, flat[at:at + a.size].reshape(a.shape))
-            at += a.size
+        """Views of consecutive pieces of a flat vector, shaped like like's
+        arrays, wrapped without the checks above: flat must be finite."""
+        params, ends = object.__new__(cls), np.cumsum([a.size for a in like.arrays()]).tolist()
+        for name, a, end in zip(("w1", "b1", "w2", "b2", "w3", "b3"), like.arrays(), ends):
+            setattr(params, name, flat[end - a.size:end].reshape(a.shape))
         return params
 
 
@@ -229,35 +226,21 @@ class AdamState:
 
 def reinforce_update(params, episode, lr=LEARNING_RATE, gamma=DISCOUNT, opt=None):
     """One REINFORCE + Adam ascent step on an episode of (state, action,
-    reward) triples.  Returns (new params, new optimizer state); the inputs
-    are not mutated, and the new params are views of one new vector.
-
-    The gradient and the parameters are joined into vectors in
-    MlpParams.arrays() order.  Adam is m = b1*m + (1-b1)*g, v = b2*v +
-    ((1-b2)*g)*g and a + (lr*m_hat) / (sqrt(v_hat) + eps), each operation
-    elementwise over the vector, in place where that rounds the same.
+    reward) triples.  Returns (new params, new optimizer state) without
+    mutating the inputs.  Adam runs on the gradient and the parameters joined
+    in MlpParams.arrays() order, with the per-array update's elementwise
+    operations in its order; the new params are views of one new vector.
     """
-    arrays = params.arrays()
-    if opt is None:
-        opt = AdamState.zeros_like(params)
-    size = sum(a.size for a in arrays)
-    if opt.m.shape != (size,) or opt.v.shape != (size,):
-        raise ValueError(f"Adam state of sizes {opt.m.size} and {opt.v.size} does not match "
-                         f"the network's {size} parameters")
     g = np.concatenate([d.ravel() for d in policy_gradient(params, episode, gamma)])
+    opt = opt or AdamState.zeros_like(params)
+    if opt.m.shape != g.shape or opt.v.shape != g.shape:
+        raise ValueError(f"Adam state of sizes {opt.m.size} and {opt.v.size} does not match "
+                         f"the network's {g.size} parameters")
     step = opt.step + 1
-    m = opt.m * ADAM_BETA1
-    m += (1.0 - ADAM_BETA1) * g
-    v = (1.0 - ADAM_BETA2) * g
-    v *= g
-    v += opt.v * ADAM_BETA2
-    denom = np.sqrt(v / (1.0 - ADAM_BETA2**step))
-    denom += ADAM_EPS
-    delta = m / (1.0 - ADAM_BETA1**step)
-    delta *= lr
-    delta /= denom
-    flat = np.concatenate([a.ravel() for a in arrays], dtype=np.float64)
-    flat += delta
+    m = ADAM_BETA1 * opt.m + (1.0 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * opt.v + (1.0 - ADAM_BETA2) * g * g
+    flat = np.concatenate([a.ravel() for a in params.arrays()], dtype=np.float64)
+    flat += lr * (m / (1.0 - ADAM_BETA1**step)) / (np.sqrt(v / (1.0 - ADAM_BETA2**step)) + ADAM_EPS)
     if not np.isfinite(flat).all():
         raise ValueError("parameters must be finite")
     return MlpParams._views(flat, params), AdamState(m, v, step)
@@ -297,10 +280,8 @@ class ReinforcePolicy:
     make_policy_state builds; an episode's states are that same input."""
 
     def __init__(self, params=None, seed=0):
-        if params is None:
-            params = init_mlp(np.random.default_rng(seed))
-        self.params = params
-        self.opt = AdamState.zeros_like(params)
+        self.params = init_mlp(np.random.default_rng(seed)) if params is None else params
+        self.opt = AdamState.zeros_like(self.params)
 
     def decide(self, q, prev, obs, cfg, rng):
         probs, _ = mlp_forward(self.params, make_policy_state(q, prev, cfg))

@@ -153,10 +153,9 @@ def generate_frame(scenario, rng, t, regime):
     A uniform is lo + (hi - lo) * u, as Generator.uniform computes it.
 
     An unused slot keeps conf 0 and an all-zero box, which no threshold
-    admits.  A dict counts the used slots per cell.  Boxes lie inside
-    [0.025, 0.975] squared and centres below 0.85, so the pixel and cell
-    indices need no clamps, only a one-pixel floor on a rectangle's size;
-    poisson(0.0) draws nothing, so a zero false-positive rate is skipped.
+    admits.  A dict counts the used slots per cell.  Boxes lie in (0, 1)
+    squared and centres below 0.85, so no index needs a clamp, only each
+    rectangle a one-pixel floor.  poisson(0.0) draws nothing and is skipped.
     """
     sc = scenario
     moving = regime == DRIVING
@@ -196,19 +195,14 @@ def generate_frame(scenario, rng, t, regime):
         conf[i, j, k] = lo + (hi - lo) * c
         boxes[i, j, k] = (cx, cy, w, h)
     for _ in range(rng.poisson(sc.false_positive_rate) if sc.false_positive_rate else 0):
-        i = int(rng.integers(grid_rows))
-        j = int(rng.integers(grid_cols))
+        i, j = int(rng.integers(grid_rows)), int(rng.integers(grid_cols))
         k = used.get((i, j), 0)
         if k >= per_cell:
             continue
         used[i, j] = k + 1
         conf[i, j, k] = rng.uniform(*sc.false_conf)
-        boxes[i, j, k] = (
-            (j + 0.5) / grid_cols,
-            (i + 0.5) / grid_rows,
-            rng.uniform(0.05, 0.15),
-            rng.uniform(0.05, 0.15),
-        )
+        boxes[i, j, k] = ((j + 0.5) / grid_cols, (i + 0.5) / grid_rows,
+                          rng.uniform(0.05, 0.15), rng.uniform(0.05, 0.15))
     # every confidence is drawn from a checked range and every size is
     # positive, so the grid needs no re-validation
     grid = ConfidenceGrid._unchecked(conf, boxes)
@@ -302,11 +296,6 @@ class SimResult:
 
     def __len__(self):
         return len(self.alpha)
-
-    @property
-    def q_before(self):
-        """The backlog each step started from."""
-        return np.concatenate(([0.0], self.q[:-1]))
 
 
 def step(q, prev, frame, dets_h, policy, scenario, cfg, rng, collect=None):

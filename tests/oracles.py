@@ -59,9 +59,15 @@ def drift_bound_check(trajectory, tol=1e-9):
     return report
 
 
+def q_before(result):
+    """The backlog each step of a SimResult started from: a run starts from
+    an empty queue, and q holds each step's backlog after it."""
+    return [0.0] + result.q[:-1].tolist()
+
+
 def trajectory(result):
     """(Q before the update, a, b) per step of a SimResult."""
-    return list(zip(result.q_before.tolist(), result.a.tolist(), result.b.tolist()))
+    return list(zip(q_before(result), result.a.tolist(), result.b.tolist()))
 
 
 def forward_oracle(params, state):

@@ -27,7 +27,7 @@ from flowdpp.policies import (
     make_policy,
 )
 from flowdpp import flowmap
-from oracles import drift_bound_check, trajectory
+from oracles import drift_bound_check, q_before, trajectory
 
 
 def tiny_scenario(**overrides):
@@ -313,8 +313,8 @@ class TestRun:
         sc = tiny_scenario()
         result = sim.run(sc, make_policy(PolicyKind.DPP))
         q = 0.0
-        for q_before, q_after, a, b in zip(result.q_before, result.q, result.a, result.b):
-            assert q_before == q
+        for q_start, q_after, a, b in zip(q_before(result), result.q, result.a, result.b):
+            assert q_start == q
             q = queue_update(q, a, b)
             assert q_after == q
             assert q >= 0.0
@@ -357,7 +357,7 @@ class TestRun:
         frames = list(generated_frames(sc, (2,), sc.horizon))
         result = sim.run(sc, DppPolicy(), cfg=cfg, frames=frames)
         rules_differ = False
-        for frame, alpha, q in zip(frames, result.alpha, result.q_before, strict=True):
+        for frame, alpha, q in zip(frames, result.alpha, q_before(result), strict=True):
             obs = frame_observation(frame, sc, couple)
             assert alpha is dpp_select(q, obs, cfg)
             flipped = dataclasses.replace(obs, coupled_arrival=not couple)
@@ -372,7 +372,7 @@ class TestRun:
         episode = []
         result = sim.run(sc, UniformRandomPolicy(), cfg=cfg, frames=frames, collect=episode)
         assert len(episode) == len(frames)
-        rows = zip(frames, result.alpha, result.q_before, episode, strict=True)
+        rows = zip(frames, result.alpha, q_before(result), episode, strict=True)
         prev_a = prev_b = prev_perf = 0.0
         for t, (frame, chosen, q, (state, alpha, reward)) in enumerate(rows):
             assert alpha is chosen
