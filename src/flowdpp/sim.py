@@ -153,9 +153,9 @@ def generate_frame(scenario, rng, t, regime):
     A uniform is lo + (hi - lo) * u, as Generator.uniform computes it.
 
     An unused slot keeps conf 0 and an all-zero box, which no threshold
-    admits.  A dict counts the used slots per cell.  Boxes lie in (0, 1)
-    squared and centres below 0.85, so no index needs a clamp, only each
-    rectangle a one-pixel floor.  poisson(0.0) draws nothing and is skipped.
+    admits.  A dict counts the used slots per cell.  Boxes lie inside (0, 1)
+    squared, so scaled edges and centres truncate to valid indices with no
+    clamp; a rectangle gets a one-pixel floor.  poisson(0.0) draws nothing.
     """
     sc = scenario
     moving = regime == DRIVING
