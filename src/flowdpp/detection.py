@@ -70,7 +70,8 @@ class ConfidenceGrid:
 
 
 class Detection(NamedTuple):
-    """An admitted grid entry; as a tuple, it equals a tuple of the same values."""
+    """An admitted grid entry.  As a tuple it equals, and orders like, a
+    tuple of the same values; the index property replaces tuple.index."""
 
     row: int
     col: int

@@ -335,7 +335,10 @@ class TestDetection:
         assert a == b and hash(a) == hash(b) and len({a, b}) == 1
         assert a.index == (1, 2, 0)
         # a Detection is a tuple: it equals a plain tuple of the same values
+        # and orders like one, and its index property hides tuple.index
         assert a == (1, 2, 0, 0.75, (0.5, 0.5, 0.2, 0.2))
+        assert a < Detection(1, 2, 1, 0.5, (0.5, 0.5, 0.2, 0.2)) < (1, 3)
+        assert not callable(a.index)
 
 
 class TestNms:
