@@ -89,15 +89,6 @@ class MlpParams:
     def copy(self):
         return MlpParams(*[a.copy() for a in self.arrays()])
 
-    @classmethod
-    def _views(cls, flat, like):
-        """Views of consecutive pieces of a flat vector, shaped like like's
-        arrays, wrapped without the checks above: flat must be finite."""
-        params, ends = object.__new__(cls), np.cumsum([a.size for a in like.arrays()]).tolist()
-        for name, a, end in zip(("w1", "b1", "w2", "b2", "w3", "b3"), like.arrays(), ends):
-            setattr(params, name, flat[end - a.size:end].reshape(a.shape))
-        return params
-
 
 def init_mlp(rng, sizes=(STATE_SIZE, HIDDEN_SIZE, HIDDEN_SIZE, NUM_ACTIONS)):
     """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) initialization."""
@@ -226,24 +217,33 @@ class AdamState:
 
 def reinforce_update(params, episode, lr=LEARNING_RATE, gamma=DISCOUNT, opt=None):
     """One REINFORCE + Adam ascent step on an episode of (state, action,
-    reward) triples.  Returns (new params, new optimizer state) without
-    mutating the inputs.  Adam runs on the gradient and the parameters joined
-    in MlpParams.arrays() order, with the per-array update's elementwise
-    operations in its order; the new params are views of one new vector.
+    reward) triples.  Returns (new params, new optimizer state); the inputs
+    are not mutated.
+
+    Adam runs as whole-vector operations on the gradient and the parameters
+    joined in MlpParams.arrays() order, in the per-array update's operation
+    order, so each entry gets the same bits.  The new params are views of one
+    new vector.  An optimizer state of another size is a ValueError.
     """
-    g = np.concatenate([d.ravel() for d in policy_gradient(params, episode, gamma)])
-    opt = opt or AdamState.zeros_like(params)
+    grads = policy_gradient(params, episode, gamma)
+    g = np.concatenate([d.ravel() for d in grads])
+    if opt is None:
+        opt = AdamState.zeros_like(params)
     if opt.m.shape != g.shape or opt.v.shape != g.shape:
-        raise ValueError(f"Adam state of sizes {opt.m.size} and {opt.v.size} does not match "
-                         f"the network's {g.size} parameters")
+        raise ValueError(
+            f"Adam state of sizes {opt.m.size} and {opt.v.size} does not match "
+            f"the network's {g.size} parameters"
+        )
     step = opt.step + 1
     m = ADAM_BETA1 * opt.m + (1.0 - ADAM_BETA1) * g
     v = ADAM_BETA2 * opt.v + (1.0 - ADAM_BETA2) * g * g
+    m_hat = m / (1.0 - ADAM_BETA1**step)
+    v_hat = v / (1.0 - ADAM_BETA2**step)
     flat = np.concatenate([a.ravel() for a in params.arrays()], dtype=np.float64)
-    flat += lr * (m / (1.0 - ADAM_BETA1**step)) / (np.sqrt(v / (1.0 - ADAM_BETA2**step)) + ADAM_EPS)
-    if not np.isfinite(flat).all():
-        raise ValueError("parameters must be finite")
-    return MlpParams._views(flat, params), AdamState(m, v, step)
+    flat += lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    ends = np.cumsum([a.size for a in params.arrays()]).tolist()
+    views = [flat[e - a.size:e].reshape(a.shape) for a, e in zip(params.arrays(), ends)]
+    return MlpParams(*views), AdamState(m, v, step)
 
 
 def reinforce_flops(params):
@@ -280,8 +280,10 @@ class ReinforcePolicy:
     make_policy_state builds; an episode's states are that same input."""
 
     def __init__(self, params=None, seed=0):
-        self.params = init_mlp(np.random.default_rng(seed)) if params is None else params
-        self.opt = AdamState.zeros_like(self.params)
+        if params is None:
+            params = init_mlp(np.random.default_rng(seed))
+        self.params = params
+        self.opt = AdamState.zeros_like(params)
 
     def decide(self, q, prev, obs, cfg, rng):
         probs, _ = mlp_forward(self.params, make_policy_state(q, prev, cfg))
