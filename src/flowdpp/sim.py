@@ -155,24 +155,24 @@ def generate_frame(scenario, rng, t, regime):
     An unused slot keeps conf 0 and an all-zero box, which no threshold
     admits.  A dict counts the used slots per cell.  Boxes lie inside (0, 1)
     squared, so scaled edges and centres truncate to valid indices with no
-    clamp; a rectangle gets a one-pixel floor.  poisson(0.0) draws nothing.
+    clamp; a rectangle gets a one-pixel floor.
     """
     sc = scenario
     moving = regime == DRIVING
-    count = rng.poisson(sc.mean_objects_driving if moving else sc.mean_objects_stationary)
+    mean = sc.mean_objects_driving if moving else sc.mean_objects_stationary
+    count = rng.poisson(mean)
     motion_scale = sc.object_motion_driving if moving else sc.object_motion_stationary
-    rows, cols, grid_rows, grid_cols = sc.flow_rows, sc.flow_cols, sc.grid_rows, sc.grid_cols
-    per_cell, miss_prob = sc.boxes_per_cell, sc.miss_prob
 
     if sc.flow_noise > 0.0:
-        flow = rng.standard_normal((rows, cols))
+        flow = rng.standard_normal((sc.flow_rows, sc.flow_cols))
         flow *= sc.flow_noise
         flow += 0.0  # -0.0 becomes 0.0, so the map holds no -0.0
     else:
-        flow = np.zeros((rows, cols))
+        flow = np.zeros((sc.flow_rows, sc.flow_cols))
 
-    conf = np.zeros((grid_rows, grid_cols, per_cell))
-    boxes = np.zeros(conf.shape + (4,))
+    shape = (sc.grid_rows, sc.grid_cols, sc.boxes_per_cell)
+    conf = np.zeros(shape)
+    boxes = np.zeros(shape + (4,))
     truth = []
     used = {}  # (i, j) -> slots taken in that cell
     for _ in range(count):
@@ -182,27 +182,35 @@ def generate_frame(scenario, rng, t, regime):
         motion = motion_scale * (0.5 + (1.0 - 0.5) * u[4]) if moving else motion_scale
         truth.append((cx, cy, w, h))
         if motion:  # adding a zero to a map without -0.0 changes no bit
-            r0, r1 = int((cy - h / 2) * rows), int((cy + h / 2) * rows)
-            c0, c1 = int((cx - w / 2) * cols), int((cx + w / 2) * cols)
+            r0 = int((cy - h / 2) * sc.flow_rows)
+            r1 = int((cy + h / 2) * sc.flow_rows)
+            c0 = int((cx - w / 2) * sc.flow_cols)
+            c1 = int((cx + w / 2) * sc.flow_cols)
             flow[r0:r1 if r1 > r0 else r0 + 1, c0:c1 if c1 > c0 else c0 + 1] += motion
-        i, j = int(cy * grid_rows), int(cx * grid_cols)
+        i = int(cy * sc.grid_rows)
+        j = int(cx * sc.grid_cols)
         k = used.get((i, j), 0)
-        if k >= per_cell:
+        if k >= sc.boxes_per_cell:
             continue  # cell saturated; object stays in the ground truth only
         used[i, j] = k + 1
         miss, c = rng.random(2).tolist()
-        lo, hi = sc.recoverable_conf if miss < miss_prob else sc.detected_conf
+        lo, hi = sc.recoverable_conf if miss < sc.miss_prob else sc.detected_conf
         conf[i, j, k] = lo + (hi - lo) * c
         boxes[i, j, k] = (cx, cy, w, h)
-    for _ in range(rng.poisson(sc.false_positive_rate) if sc.false_positive_rate else 0):
-        i, j = int(rng.integers(grid_rows)), int(rng.integers(grid_cols))
+    for _ in range(rng.poisson(sc.false_positive_rate)):
+        i = int(rng.integers(sc.grid_rows))
+        j = int(rng.integers(sc.grid_cols))
         k = used.get((i, j), 0)
-        if k >= per_cell:
+        if k >= sc.boxes_per_cell:
             continue
         used[i, j] = k + 1
         conf[i, j, k] = rng.uniform(*sc.false_conf)
-        boxes[i, j, k] = ((j + 0.5) / grid_cols, (i + 0.5) / grid_rows,
-                          rng.uniform(0.05, 0.15), rng.uniform(0.05, 0.15))
+        boxes[i, j, k] = (
+            (j + 0.5) / sc.grid_cols,
+            (i + 0.5) / sc.grid_rows,
+            rng.uniform(0.05, 0.15),
+            rng.uniform(0.05, 0.15),
+        )
     # every confidence is drawn from a checked range and every size is
     # positive, so the grid needs no re-validation
     grid = ConfidenceGrid._unchecked(conf, boxes)
