@@ -218,15 +218,11 @@ class AdamState:
 def reinforce_update(params, episode, lr=LEARNING_RATE, gamma=DISCOUNT, opt=None):
     """One REINFORCE + Adam ascent step on an episode of (state, action,
     reward) triples.  Returns (new params, new optimizer state); the inputs
-    are not mutated.
-
-    Adam runs as whole-vector operations on the gradient and the parameters
-    joined in MlpParams.arrays() order, in the per-array update's operation
-    order, so each entry gets the same bits.  The new params are views of one
-    new vector.  An optimizer state of another size is a ValueError.
+    are not mutated.  Adam runs over the gradient and parameters joined in
+    MlpParams.arrays() order, in the per-array operation order, so every
+    entry gets the same bits; the new params are views of one vector.
     """
-    grads = policy_gradient(params, episode, gamma)
-    g = np.concatenate([d.ravel() for d in grads])
+    g = np.concatenate([d.ravel() for d in policy_gradient(params, episode, gamma)])
     if opt is None:
         opt = AdamState.zeros_like(params)
     if opt.m.shape != g.shape or opt.v.shape != g.shape:
@@ -237,10 +233,9 @@ def reinforce_update(params, episode, lr=LEARNING_RATE, gamma=DISCOUNT, opt=None
     step = opt.step + 1
     m = ADAM_BETA1 * opt.m + (1.0 - ADAM_BETA1) * g
     v = ADAM_BETA2 * opt.v + (1.0 - ADAM_BETA2) * g * g
-    m_hat = m / (1.0 - ADAM_BETA1**step)
-    v_hat = v / (1.0 - ADAM_BETA2**step)
     flat = np.concatenate([a.ravel() for a in params.arrays()], dtype=np.float64)
-    flat += lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    # the bias-corrected moments stay unnamed, so each is freed once used
+    flat += lr * (m / (1.0 - ADAM_BETA1**step)) / (np.sqrt(v / (1.0 - ADAM_BETA2**step)) + ADAM_EPS)
     ends = np.cumsum([a.size for a in params.arrays()]).tolist()
     views = [flat[e - a.size:e].reshape(a.shape) for a, e in zip(params.arrays(), ends)]
     return MlpParams(*views), AdamState(m, v, step)
