@@ -76,7 +76,7 @@ class MlpParams:
         (o1, i1), (o1b,), (o2, i2), (o2b,), (o3, i3), (o3b,) = shapes
         if o1 != o1b or o2 != o2b or o3 != o3b or i2 != o1 or i3 != o2:
             raise ValueError(f"inconsistent layer shapes: {shapes}")
-        if not all(np.all(np.isfinite(a)) for a in self.arrays()):
+        if not all(np.isfinite(a).all() for a in self.arrays()):
             raise ValueError("parameters must be finite")
 
     def arrays(self):
