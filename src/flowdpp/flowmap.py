@@ -11,9 +11,10 @@ The public stage functions are pure: each validates its input and returns a
 new array.  process() runs the same private kernels from four order
 statistics of the map (its min, max and two middle values) and touches the
 whole map only to find them; a 375x1242 camera map resized to 8x8 shifts
-and squashes the 32x32 pixels the bicubic resize reads.  Tap indices and
-compact weights are cached per (source, target) size.  process() also takes
-a list of same-shape maps, one row each, and runs each stage once over all.
+and squashes the 32x32 pixels the bicubic resize reads.  The resize sums
+them in a fixed order, with no BLAS call, so its bits are the same on every
+CPU.  process() also takes a list of same-shape maps, one row each, and
+runs each stage once over all.
 
 process() and check_flow_map() also take an (h, w, 2) float32 flow field,
 as read_flo returns it, whose map is flow_magnitude(field): hypot(u, v) in
@@ -181,49 +182,52 @@ def _keys_kernel(x, a=-0.5):
 
 @functools.lru_cache(maxsize=32)
 def _taps(n_src, n_dst):
-    """(used, weights): the bicubic resize of one axis from n_src to n_dst
-    samples, clamp-to-edge, as the sorted source indices it reads and their
-    (n_dst, len(used)) weight columns.  Cached, so both arrays are read-only.
+    """(index, weights): the bicubic resize of one axis from n_src to n_dst
+    samples, clamp-to-edge.  Output sample i sums the source samples
+    index[4 i:4 i + 4] with weights[i], a row of an (n_dst, 4) array; a tap
+    clamped to an edge stays a term of its own.  index is None when it is
+    arange(n_src).  Cached, so the arrays are read-only.
 
     Output sample i reads source coordinate (i + 0.5) * scale - 0.5, the
     center-aligned convention, which degenerates to the identity when
-    n_src == n_dst.  Each output reads 4 taps; np.add.at sums a row's taps
-    that clamp to the same edge index in tap order, and an index whose
-    weights all sum to zero is not read.
+    n_src == n_dst.
     """
     scale = n_src / n_dst
     x = (np.arange(n_dst) + 0.5) * scale - 0.5
     base = np.floor(x).astype(int)
     offsets = np.arange(-1, 3)
-    tap_weights = _keys_kernel((x - base)[:, None] - offsets[None, :])
-    taps = np.clip(base[:, None] + offsets[None, :], 0, n_src - 1)
-    columns, column_of = np.unique(taps, return_inverse=True)
-    compact = np.zeros((n_dst, columns.size))
-    np.add.at(compact, (np.repeat(np.arange(n_dst), 4), column_of.ravel()), tap_weights.ravel())
-    read = np.any(compact != 0.0, axis=0)
-    used = columns[read]
-    weights = np.ascontiguousarray(compact[:, read])  # the dense layout, for BLAS
-    for arr in (used, weights):
-        arr.setflags(write=False)
-    return used, weights
+    weights = _keys_kernel((x - base)[:, None] - offsets[None, :])
+    index = np.clip(base[:, None] + offsets[None, :], 0, n_src - 1).ravel()
+    weights.setflags(write=False)
+    index.setflags(write=False)
+    return (None if np.array_equal(index, np.arange(n_src)) else index), weights
 
 
-def _resize_plan(shape, target_rows, target_cols):
-    """How to resize a map of this shape: None when it already matches,
-    else (index, row weights, column weights) with the resized map equal to
-    row_weights @ map[index] @ column_weights.T.  index selects the sub-grid
-    of tapped pixels; it is None when every pixel is tapped.
-    """
-    rows, cols = shape
-    if (target_rows, target_cols) == (rows, cols):
-        return None
-    rows_used, w_r = _taps(rows, target_rows)
-    cols_used, w_c = _taps(cols, target_cols)
-    if rows_used.size == rows and cols_used.size == cols:
-        index = None
-    else:
-        index = np.ix_(rows_used, cols_used)
-    return index, w_r, w_c
+def _gather(stack, grid_rows, grid_cols):
+    """(taps, row weights, column weights) to resize an (n, rows, cols, ...)
+    stack to the grid, taps being the (n, 4 grid_rows, 4 grid_cols, ...)
+    pixels the _taps indices read.  take is faster than a fancy index, and
+    so are the passes over its result; an axis whose index is None is kept."""
+    (rows_index, w_r), (cols_index, w_c) = _taps(stack.shape[1], grid_rows), _taps(stack.shape[2], grid_cols)
+    if rows_index is not None:
+        stack = stack.take(rows_index, axis=1)
+    if cols_index is not None:
+        stack = stack.take(cols_index, axis=2)
+    return stack, w_r, w_c
+
+
+def _four_tap_sum(products):
+    """((p0 + p1) + p2) + p3 with p_k = products[..., k], one output's weighted taps."""
+    return ((products[..., 0] + products[..., 1]) + products[..., 2]) + products[..., 3]
+
+
+def _resize_taps(taps, w_r, w_c):
+    """Resize _gather's taps, rows then columns, each output ((w0 x0 + w1 x1)
+    + w2 x2) + w3 x3 of its taps x_k by numpy's correctly rounded elementwise
+    multiply and add: the same bits on every IEEE-754 machine."""
+    n, _, tap_cols = taps.shape
+    rows = _four_tap_sum((taps.reshape(n, -1, 4, tap_cols) * w_r[:, :, None]).swapaxes(2, 3))
+    return _four_tap_sum(rows.reshape(n, rows.shape[1], -1, 4) * w_c)
 
 
 def _thresholds(flat, num_boxes, c_th):
@@ -392,15 +396,13 @@ def squash(values):
 def resize_bicubic(values, target_rows, target_cols):
     """Separable bicubic resize (Keys kernel, a = -0.5, clamped borders).
 
-    Reads only the source rows and columns with a nonzero tap weight.
+    Each output is a fixed-order sum of 4 taps per axis (see _resize_taps).
     """
     arr = _as_flow_map(values)
     _check_target(target_rows, target_cols)
-    plan = _resize_plan(arr.shape, target_rows, target_cols)
-    if plan is None:
+    if (target_rows, target_cols) == arr.shape:
         return arr.copy()
-    index, w_r, w_c = plan
-    return w_r @ (arr if index is None else arr[index]) @ w_c.T
+    return _resize_taps(*_gather(arr[None], target_rows, target_cols))[0]
 
 
 def vectorize_thresholds(values, num_boxes, c_th):
@@ -439,14 +441,15 @@ def process(values, grid_rows, grid_cols, num_boxes, c_th):
     its min, max and two middle values: one min and one max pass and one
     partition of a copy, each over all maps at once.  The shift is
     monotone, so it maps them to the shifted map's as scalars.  Shift,
-    deviation and squash then run on the pixels the resize taps: the whole
-    map when every pixel is tapped, else a gathered copy of at most 4 rows
-    per grid row by 4 columns per grid column.  Each map is resized by a
-    2-D product of its own, so no row depends on the others.  The clip
-    bounds are exact without a pass of their own: |s - median| rounds
-    monotonically in s on either side of the median and squash is monotone,
-    so the squashed minimum sits at the middle values, between which no
-    element lies, and the maximum at the shifted map's ends, 0 and its max.
+    deviation and squash then run on the taps the resize reads: the map
+    itself when each axis reads each pixel once, in order, else a gathered
+    copy of 4 rows per grid row by 4 columns per grid column.  Each output
+    sums its own taps in a fixed order, so no row depends on the others and
+    no bit on the CPU (see _resize_taps).  The clip bounds are exact
+    without a pass of their own: |s - median| rounds monotonically in s on
+    either side of the median and squash is monotone, so the squashed
+    minimum sits at the middle values, between which no element lies, and
+    the maximum at the shifted map's ends, 0 and its max.
 
     A field stands for the map flow_magnitude(values), which is never
     built: its min, max and middle values come from the float32 key u^2 +
@@ -476,16 +479,13 @@ def process(values, grid_rows, grid_cols, num_boxes, c_th):
         lo, hi = _extent(flat)
         lower, upper = _middle(flat)
     median, lower, upper, extent = _shifted(lo, hi, lower, upper, rows * cols)
-    plan = _resize_plan((rows, cols), grid_rows, grid_cols)
-    tapped = stack if plan is None or plan[0] is None else stack[(slice(None), *plan[0])]
-    # in C order, as a map of its own: a gather after a slice is laid out otherwise
-    tapped = np.subtract(tapped if stack.ndim == 3 else _hypot(tapped), lo[:, None, None], order="C")
+    resize = (grid_rows, grid_cols) != (rows, cols)
+    if resize:
+        stack, w_r, w_c = _gather(stack, grid_rows, grid_cols)
+    tapped = np.subtract(stack if stack.ndim == 3 else _hypot(stack), lo[:, None, None])
     _squash(_abs_deviation(tapped, median[:, None, None]))
-    if plan is not None:
-        _, w_r, w_c = plan
-        squashed, tapped = tapped, np.empty((n, grid_rows, grid_cols))
-        for m, out in zip(squashed, tapped):
-            np.matmul(w_r @ m, w_c.T, out=out)
+    if resize:
+        tapped = _resize_taps(tapped, w_r, w_c)
         floor, ceiling = _squashed_range(median, lower, upper, extent)
         np.maximum(tapped, floor[:, None, None], out=tapped)
         np.minimum(tapped, ceiling[:, None, None], out=tapped)

@@ -10,8 +10,8 @@ written out in numpy so gradients can be checked against finite differences.
 The gradient runs over the whole episode as matrix products: one forward pass
 over the stacked (T, 10) state matrix and one backward pass over its rows,
 with no per-step loop.  A single decision runs the same layers as
-matrix-vector products, which give the same bits as that state's row of the
-batched pass.  Adam steps one flat vector of all the parameters.
+matrix-vector products, bit for bit a batch of one (not a row of a larger
+batch).  Adam steps one flat vector of all the parameters.
 """
 
 import enum
@@ -116,8 +116,8 @@ def mlp_forward(params, state):
 
     The output layer is raw logits + softmax (no ReLU) so both actions stay
     reachable with any sign of logit.  The layers are matrix-vector
-    products, updated in place; they give the same bits as the state's row
-    of _forward, so rollout decisions and the gradient's forward pass agree.
+    products, updated in place; they give _forward's bits on a batch of one,
+    but a row of a larger batch may differ from them in its last bits.
     """
     s = np.asarray(state, dtype=np.float64)
     if s.shape != (params.w1.shape[1],):

@@ -171,6 +171,21 @@ class TestResizeBicubic:
         with pytest.raises(ValueError):
             flowmap.resize_bicubic(np.ones((3, 3)), 0, 2)
 
+    @pytest.mark.parametrize("shape,grid", [
+        ((375, 1242), (8, 8)),  # camera map: clamped edges, a gathered sub-grid
+        ((32, 32), (8, 8)),  # the simulator's maps: each pixel read once, in order
+        ((3, 4), (11, 13)),  # upsampling: taps clamp to both edges
+        ((45, 70), (1, 8)),
+        ((45, 70), (8, 1)),
+        ((1, 9), (4, 3)),
+        ((1, 1), (2, 5)),  # every tap is the one pixel
+    ], ids=["camera", "simulator", "upsample", "one-row-target", "one-column-target",
+            "one-row-source", "one-pixel"])
+    def test_equals_fixed_order_oracle(self, shape, grid):
+        arr = np.random.default_rng(list(shape)).normal(size=shape)
+        got = flowmap.resize_bicubic(arr, *grid)
+        assert np.array_equal(got.view(np.int64), fixed_order_resize(arr, *grid).view(np.int64))
+
 
 class TestVectorizeThresholds:
     def test_zero_map_gives_half_cth(self):
@@ -269,8 +284,8 @@ def median_of(arr):
 
 
 def resize_weights(n_src, n_dst):
-    """Dense (n_dst, n_src) bicubic weight matrix, clamp-to-edge taps: the
-    oracle of flowmap._taps, which keeps only its nonzero columns."""
+    """Dense (n_dst, n_src) bicubic weight matrix, clamp-to-edge taps, each
+    row the sum of its 4 taps' weights per source index."""
     scale = n_src / n_dst
     x = (np.arange(n_dst) + 0.5) * scale - 0.5
     base = np.floor(x).astype(int)
@@ -284,22 +299,59 @@ def resize_weights(n_src, n_dst):
     return mat
 
 
-def composed(values, grid_rows, grid_cols, num_boxes, c_th):
-    """process() as the composition of the public stages."""
-    squashed = flowmap.squash(flowmap.center_abs_median(flowmap.shift_min(values)))
-    resized = flowmap.resize_bicubic(squashed, grid_rows, grid_cols)
-    np.clip(resized, squashed.min(), squashed.max(), out=resized)
-    return flowmap.vectorize_thresholds(resized, num_boxes, c_th)
+def dense_resize(arr, grid_rows, grid_cols):
+    """The resize as a product of dense weight matrices over the whole map:
+    the 4-tap sums plus exact zeros, added in another order."""
+    rows, cols = arr.shape
+    return resize_weights(rows, grid_rows) @ arr @ resize_weights(cols, grid_cols).T
 
 
-def dense_process(values, grid_rows, grid_cols, num_boxes, c_th):
-    """process() with dense weight matrices over the whole squashed map,
-    clipped to its full-map min and max: the sum over every source pixel
-    that the compact taps reproduce up to rounding."""
+def keys_weight(t, a=-0.5):
+    """The Keys kernel at t in Python floats, evaluated as flowmap._keys_kernel
+    evaluates it."""
+    ax = abs(t)
+    if ax <= 1.0:
+        return ((a + 2.0) * ax - (a + 3.0)) * ax * ax + 1.0
+    if ax < 2.0:
+        return a * (((ax - 5.0) * ax + 8.0) * ax - 4.0)
+    return 0.0
+
+
+def axis_taps(n_src, n_dst):
+    """[(indices, weights)] per output sample of one axis, in Python: its 4
+    taps at offsets -1..2 from the sample's floor, clamped to the edges."""
+    scale = n_src / n_dst
+    taps = []
+    for i in range(n_dst):
+        x = (i + 0.5) * scale - 0.5
+        base = math.floor(x)
+        taps.append(([min(max(base + o, 0), n_src - 1) for o in (-1, 0, 1, 2)],
+                     [keys_weight((x - base) - o) for o in (-1, 0, 1, 2)]))
+    return taps
+
+
+def tap_sum(taps, value):
+    """((w0 x0 + w1 x1) + w2 x2) + w3 x3 in Python floats, x_k = value(index_k)."""
+    (i0, i1, i2, i3), (w0, w1, w2, w3) = taps
+    return ((w0 * value(i0) + w1 * value(i1)) + w2 * value(i2)) + w3 * value(i3)
+
+
+def fixed_order_resize(arr, grid_rows, grid_cols):
+    """The bicubic resize in pure-Python floats, rows then columns, each
+    output its 4 taps summed in tap order: the oracle flowmap's resize must
+    equal bit for bit on every machine."""
+    src = np.asarray(arr, dtype=np.float64).tolist()
+    rows = [[tap_sum(taps, lambda r: src[r][c]) for c in range(len(src[0]))]
+            for taps in axis_taps(len(src), grid_rows)]
+    return np.array([[tap_sum(taps, row.__getitem__) for taps in axis_taps(len(src[0]), grid_cols)]
+                     for row in rows])
+
+
+def composed(values, grid_rows, grid_cols, num_boxes, c_th, resize=flowmap.resize_bicubic):
+    """process() as the composition of the public stages, or with another
+    resize, clipped to the squashed map's full min and max."""
     squashed = flowmap.squash(flowmap.center_abs_median(flowmap.shift_min(values)))
-    rows, cols = squashed.shape
-    resized = (resize_weights(rows, grid_rows) @ squashed
-               @ resize_weights(cols, grid_cols).T)
+    resized = resize(squashed, grid_rows, grid_cols)
     np.clip(resized, squashed.min(), squashed.max(), out=resized)
     return flowmap.vectorize_thresholds(resized, num_boxes, c_th)
 
@@ -337,10 +389,11 @@ class TestProcessDifferential:
     @given(float_maps(), st.integers(1, 3))
     @settings(max_examples=100)
     def test_equals_composition_when_every_pixel_is_tapped(self, arr, k):
-        # a halving downsample taps every index, so the resize reads the whole map
+        # a 4x downsample reads each pixel once, in order, so the resize
+        # reads the map itself, ungathered
         rows, cols = arr.shape
-        tiled = np.tile(arr, (2, 2))
-        assert flowmap._resize_plan(tiled.shape, rows, cols)[0] is None
+        tiled = np.tile(arr, (4, 4))
+        assert flowmap._taps(4 * rows, rows)[0] is None and flowmap._taps(4 * cols, cols)[0] is None
         got = flowmap.process(tiled, rows, cols, k, 0.5)
         assert np.array_equal(got, composed(tiled, rows, cols, k, 0.5))
 
@@ -454,8 +507,8 @@ class TestProcessList:
 
     def test_sub_grid_gather_and_one_row_targets_are_covered(self):
         # the strategy's sizes reach both resize layouts the rows must match
-        assert flowmap._resize_plan((40, 40), 1, 6)[0] is not None
-        assert flowmap._resize_plan((32, 32), 8, 8)[0] is None
+        assert flowmap._taps(40, 1)[0] is not None and flowmap._taps(40, 6)[0] is not None
+        assert flowmap._taps(24, 6)[0] is None
 
     def test_single_map_is_its_list_of_one(self):
         arr = np.random.default_rng(8).normal(size=(9, 13))
@@ -505,14 +558,15 @@ class TestCameraSizeMaps:
     def test_within_ulps_of_dense_formula(self, camera_map, fortran):
         arr = np.asfortranarray(camera_map) if fortran else camera_map
         got = flowmap.process(arr, 8, 8, 2, 0.5)
-        assert_within_ulps(got, dense_process(arr, 8, 8, 2, 0.5))
+        assert_within_ulps(got, composed(arr, 8, 8, 2, 0.5, resize=dense_resize))
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_simulator_size_equals_dense_formula_exactly(self, seed):
-        # 32 -> 8 taps every source index, so the compact product is the dense one
+    def test_simulator_size_equals_fixed_order_oracle(self, seed):
+        # 32 -> 8 reads each pixel once, in order: the resize skips its gather
         rng = np.random.default_rng(seed)
         arr = blob_flow(rng, 32, 32) if seed % 2 else rng.gamma(2.0, size=(32, 32))
-        assert np.array_equal(flowmap.process(arr, 8, 8, 2, 0.5), dense_process(arr, 8, 8, 2, 0.5))
+        expected = composed(arr, 8, 8, 2, 0.5, resize=fixed_order_resize)
+        assert np.array_equal(flowmap.process(arr, 8, 8, 2, 0.5).view(np.int64), expected.view(np.int64))
 
 
 class TestUntappedPixels:
@@ -543,8 +597,8 @@ class TestUntappedPixels:
     @pytest.mark.parametrize("bad", [(np.nan, 0.0), (np.inf, 0.0), (-1e308, 1e308)])
     def test_bad_value_rejected_by_trace_loading(self, tmp_path, bad):
         arr = blob_flow(np.random.default_rng(22), 40, 40)
-        assert 0 not in flowmap._taps(40, 8)[0] and 39 not in flowmap._taps(40, 8)[0]
-        arr[0, 0], arr[39, 39] = bad
+        assert 0 not in flowmap._taps(40, 8)[0] and 35 not in flowmap._taps(40, 8)[0]
+        arr[0, 0], arr[35, 35] = bad
         fileio.write_matrix_csv(tmp_path / "flow0.csv", arr)
         fileio.save_grid_csv(tmp_path / "conf0.csv",
                              ConfidenceGrid(np.zeros((8, 8, 1)), np.zeros((8, 8, 1, 4))))
@@ -789,12 +843,12 @@ class TestFlowFields:
     @given(flow_fields())
     @settings(max_examples=60, deadline=None)
     def test_fully_tapped_fields(self, field):
-        # a grid of the field's own size, and a halving downsample, which
-        # taps every index
+        # a grid of the field's own size, and a 4x downsample, which reads
+        # each pixel once, in order
         rows, cols = field.shape[:2]
         assert_field_matches_map(field, (rows, cols))
-        tiled = np.tile(field, (2, 2, 1))
-        assert flowmap._resize_plan(tiled.shape[:2], rows, cols)[0] is None
+        tiled = np.tile(field, (4, 4, 1))
+        assert flowmap._taps(4 * rows, rows)[0] is None and flowmap._taps(4 * cols, cols)[0] is None
         assert_field_matches_map(tiled, (rows, cols))
 
     @pytest.mark.parametrize("name", sorted(FIXED_FIELDS))
@@ -1027,9 +1081,9 @@ class TestStagesMatchPlainNumpy:
         expected = 0.5 / (1.0 + np.exp(2.0 * np.tile(arr.ravel(), k)))
         assert np.array_equal(flowmap.vectorize_thresholds(arr, k, 0.5), expected)
 
-    @given(float_maps(), st.integers(1, 6), st.integers(1, 6))
+    @given(float_maps(), st.integers(1, 12), st.integers(1, 12))
     def test_resize_bicubic(self, arr, gr, gc):
-        # exact oracle: the product over the tapped rows and columns only;
+        # exact oracle: the 4-tap sums in Python floats, in the same order;
         # the dense product sums the same taps plus exact zeros in another
         # order, so it agrees to a few ulps
         rows, cols = arr.shape
@@ -1037,10 +1091,8 @@ class TestStagesMatchPlainNumpy:
         if (gr, gc) == (rows, cols):
             assert np.array_equal(got, arr)
             return
-        (rows_used, w_r), (cols_used, w_c) = flowmap._taps(rows, gr), flowmap._taps(cols, gc)
-        assert np.array_equal(got, w_r @ arr[np.ix_(rows_used, cols_used)] @ w_c.T)
-        dense = resize_weights(rows, gr) @ arr @ resize_weights(cols, gc).T
-        assert_within_ulps(got, dense, scale=np.abs(arr).max())
+        assert np.array_equal(got.view(np.int64), fixed_order_resize(arr, gr, gc).view(np.int64))
+        assert_within_ulps(got, dense_resize(arr, gr, gc), scale=np.abs(arr).max())
 
 
 class TestMedianHelper:
@@ -1064,8 +1116,8 @@ class TestMedianHelper:
 
 
 class TestResizeWeightCache:
-    """Each axis caches the source indices its taps read and the compact
-    weight columns on them."""
+    """Each axis caches the source indices its 4 taps per output read, and
+    their (n_dst, 4) weights; the index is None when it is arange."""
 
     SIZES = [(32, 8), (1242, 8), (375, 8), (5, 5), (3, 11), (1, 4), (7, 1)]
 
@@ -1075,6 +1127,9 @@ class TestResizeWeightCache:
         assert cached is flowmap._taps(n_src, n_dst)
         fresh = flowmap._taps.__wrapped__(n_src, n_dst)
         for arr, new in zip(cached, fresh):
+            if arr is None:  # an index that reads each sample once, in order
+                assert new is None
+                continue
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0
@@ -1084,35 +1139,42 @@ class TestResizeWeightCache:
         assert flowmap._taps.cache_info().maxsize is not None
 
     @pytest.mark.parametrize("n_src,n_dst", SIZES)
-    def test_compact_columns_are_dense_nonzero_columns(self, n_src, n_dst):
-        used, weights = flowmap._taps(n_src, n_dst)
-        dense = resize_weights(n_src, n_dst)
-        assert np.array_equal(used, np.flatnonzero(np.any(dense != 0.0, axis=0)))
-        assert np.array_equal(weights, dense[:, used])
-        assert not np.any(np.delete(dense, used, axis=1))
-        assert np.all(np.count_nonzero(dense, axis=1) <= 4)
-        assert used.size <= 4 * n_dst
+    def test_index_is_none_exactly_when_it_is_arange(self, n_src, n_dst):
+        self.assert_taps_are_the_python_oracle(n_src, n_dst)
 
     @given(st.integers(1, 400), st.integers(1, 60))
     @settings(max_examples=200)
     def test_taps_are_the_dense_oracle_bit_for_bit(self, n_src, n_dst):
-        used, weights = flowmap._taps.__wrapped__(n_src, n_dst)
-        dense = resize_weights(n_src, n_dst)
-        assert np.array_equal(used, np.flatnonzero(np.any(dense != 0.0, axis=0)))
-        assert used.dtype == np.intp and weights.flags.c_contiguous
-        expected = dense[:, used]
-        assert np.array_equal(weights, expected)
-        assert np.array_equal(np.signbit(weights), np.signbit(expected))
+        # scattered into a dense matrix in tap order, the taps are its rows
+        self.assert_taps_are_the_python_oracle(n_src, n_dst)
+        index, weights = flowmap._taps.__wrapped__(n_src, n_dst)
+        dense = np.zeros((n_dst, n_src))
+        index = np.arange(n_src) if index is None else index
+        np.add.at(dense, (np.repeat(np.arange(n_dst), 4), index), weights.ravel())
+        expected = resize_weights(n_src, n_dst)
+        assert np.array_equal(dense, expected) and np.array_equal(np.signbit(dense), np.signbit(expected))
+
+    @staticmethod
+    def assert_taps_are_the_python_oracle(n_src, n_dst):
+        index, weights = flowmap._taps.__wrapped__(n_src, n_dst)
+        taps = axis_taps(n_src, n_dst)
+        expected = [i for indices, _ in taps for i in indices]
+        if expected == list(range(n_src)):
+            assert index is None
+        else:
+            assert index.dtype == np.intp and index.tolist() == expected
+        expected = np.array([w for _, ws in taps for w in ws]).reshape(n_dst, 4)
+        assert weights.shape == (n_dst, 4) and np.array_equal(weights.view(np.int64), expected.view(np.int64))
 
     def test_downsample_by_whole_factor_taps_every_index(self):
-        # the simulator's 32x32 -> 8x8 maps: the compact matrix is the dense one
-        used, weights = flowmap._taps(32, 8)
-        assert np.array_equal(used, np.arange(32))
-        assert np.array_equal(weights, resize_weights(32, 8))
-        assert flowmap._resize_plan((32, 32), 8, 8)[0] is None
+        # the simulator's 32x32 -> 8x8 maps: output i reads pixels 4i..4i+3
+        index, weights = flowmap._taps(32, 8)
+        assert index is None
+        assert np.array_equal(weights, resize_weights(32, 8).reshape(8, 8, 4)[np.arange(8), np.arange(8)])
 
     def test_camera_map_taps_a_small_sub_grid(self):
-        index, w_r, w_c = flowmap._resize_plan((375, 1242), 8, 8)
-        assert w_r.shape == (8, 32) and w_c.shape == (8, 32)
-        assert np.zeros((375, 1242))[index].shape == (32, 32)
-        assert flowmap._resize_plan((375, 1242), 375, 1242) is None
+        (rows_index, w_r), (cols_index, w_c) = flowmap._taps(375, 8), flowmap._taps(1242, 8)
+        assert w_r.shape == (8, 4) and w_c.shape == (8, 4)
+        assert rows_index.shape == (32,) and cols_index.shape == (32,)
+        taps, *_ = flowmap._gather(np.zeros((1, 375, 1242)), 8, 8)
+        assert taps.shape == (1, 32, 32)

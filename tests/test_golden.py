@@ -12,9 +12,10 @@ threshold, on no threshold bit either.
 tests/golden/process_flow.json pins, per case, the same record of the
 thresholds `process-flow` writes: .flo fields in the four KITTI-2015 shapes
 and an odd pixel count at an 8x8 grid, and CSV maps at a one-row grid, a
-one-column grid and their own size.  These go through the bicubic resize's
-BLAS matmul, so they are pinned bitwise for the BLAS build and CPU family
-they were recorded on (OpenBLAS 0.3.31, x86-64).
+one-column grid and their own size.  The bicubic resize sums each output's
+taps in a fixed order with numpy's elementwise multiply and add, which round
+each operation correctly, and calls no BLAS routine; so every IEEE-754
+machine writes the same thresholds, whatever its SIMD width or BLAS kernel.
 
 A change that moves these outputs on purpose regenerates both files with
 `PYTHONPATH=src python tests/golden/regen.py` and says why.

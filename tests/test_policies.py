@@ -125,8 +125,8 @@ class TestMlpForward:
 
     @pytest.mark.parametrize("sizes", [(10, 128, 128, 2), (4, 5, 5, 2)])
     def test_single_state_is_bit_identical_to_its_batch_row(self, sizes):
-        # rollout decisions use mlp_forward and the gradient uses _forward,
-        # so one state must give the same bits through both
+        # mlp_forward equals _forward on a batch of one; a row of a larger
+        # batch may differ from it in its last bits
         rng = np.random.default_rng(31)
         for seed in range(20):
             params = init_mlp(np.random.default_rng(seed), sizes)
