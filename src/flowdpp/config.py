@@ -8,6 +8,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .controller import ControllerConfig, ModelChoice
+from .fileio import _utf8_lines
 from .policies import DISCOUNT, LEARNING_RATE, PolicyKind
 from .sim import CPU_LATENCY, GPU_LATENCY, ScenarioConfig
 
@@ -137,12 +138,11 @@ def parse_config(parser, source="<config>"):
 def load_config(path):
     parser = configparser.ConfigParser()
     try:
-        with open(path, encoding="utf-8") as f:
-            parser.read_file(f, source=str(path))
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text: byte {exc.start}: {exc.reason}") from exc
+        parser.read_file(_utf8_lines(path), source=str(path))
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    except ValueError as exc:  # not UTF-8 text, a message that names the file
+        raise ConfigError(str(exc)) from exc
     return parse_config(parser, source=str(path))
 
 

@@ -13,8 +13,9 @@ statistics of the map (its min, max and two middle values) and touches the
 whole map only to find them; a 375x1242 camera map resized to 8x8 shifts
 and squashes the 32x32 pixels the bicubic resize reads.  The resize sums
 them in a fixed order, with no BLAS call, so its bits are the same on every
-CPU.  process() also takes a list of same-shape maps, one row each, and
-runs each stage once over all.
+CPU.  An axis whose size is already the grid's is not resampled: it is
+read once, neither gathered nor summed.  process() also takes a list of
+same-shape maps, one row each, and runs each stage once over all.
 
 process() and check_flow_map() also take an (h, w, 2) float32 flow field,
 as read_flo returns it, whose map is flow_magnitude(field): hypot(u, v) in
@@ -205,15 +206,17 @@ def _taps(n_src, n_dst):
 
 def _gather(stack, grid_rows, grid_cols):
     """(taps, row weights, column weights) to resize an (n, rows, cols, ...)
-    stack to the grid, taps being the (n, 4 grid_rows, 4 grid_cols, ...)
-    pixels the _taps indices read.  take is faster than a fancy index, and
-    so are the passes over its result; an axis whose index is None is kept."""
-    (rows_index, w_r), (cols_index, w_c) = _taps(stack.shape[1], grid_rows), _taps(stack.shape[2], grid_cols)
-    if rows_index is not None:
-        stack = stack.take(rows_index, axis=1)
-    if cols_index is not None:
-        stack = stack.take(cols_index, axis=2)
-    return stack, w_r, w_c
+    stack to the grid, taps being the pixels the _taps indices read.  Only
+    here is an axis chosen for resampling: one already of the grid's size
+    is kept whole, with None for weights (its taps would weigh (0, 1, 0, 0)).
+    take is faster than a fancy index, and so are the passes over its result."""
+    weights = []
+    for axis, n_dst in ((1, grid_rows), (2, grid_cols)):
+        index, w = (None, None) if stack.shape[axis] == n_dst else _taps(stack.shape[axis], n_dst)
+        if index is not None:
+            stack = stack.take(index, axis=axis)
+        weights.append(w)
+    return stack, *weights
 
 
 def _four_tap_sum(products):
@@ -224,10 +227,14 @@ def _four_tap_sum(products):
 def _resize_taps(taps, w_r, w_c):
     """Resize _gather's taps, rows then columns, each output ((w0 x0 + w1 x1)
     + w2 x2) + w3 x3 of its taps x_k by numpy's correctly rounded elementwise
-    multiply and add: the same bits on every IEEE-754 machine."""
+    multiply and add: the same bits on every IEEE-754 machine.  An axis
+    whose weights are None is skipped."""
     n, _, tap_cols = taps.shape
-    rows = _four_tap_sum((taps.reshape(n, -1, 4, tap_cols) * w_r[:, :, None]).swapaxes(2, 3))
-    return _four_tap_sum(rows.reshape(n, rows.shape[1], -1, 4) * w_c)
+    if w_r is not None:
+        taps = _four_tap_sum((taps.reshape(n, -1, 4, tap_cols) * w_r[:, :, None]).swapaxes(2, 3))
+    if w_c is not None:
+        taps = _four_tap_sum(taps.reshape(n, taps.shape[1], -1, 4) * w_c)
+    return taps
 
 
 def _thresholds(flat, num_boxes, c_th):
@@ -394,15 +401,12 @@ def squash(values):
 
 
 def resize_bicubic(values, target_rows, target_cols):
-    """Separable bicubic resize (Keys kernel, a = -0.5, clamped borders).
-
-    Each output is a fixed-order sum of 4 taps per axis (see _resize_taps).
-    """
+    """Separable bicubic resize (Keys kernel, a = -0.5, clamped borders) into
+    a new array; each output is a fixed-order sum of 4 taps per axis (see
+    _resize_taps), and an axis already of the target's size is copied."""
     arr = _as_flow_map(values)
     _check_target(target_rows, target_cols)
-    if (target_rows, target_cols) == arr.shape:
-        return arr.copy()
-    return _resize_taps(*_gather(arr[None], target_rows, target_cols))[0]
+    return _resize_taps(*_gather(arr[None], target_rows, target_cols))[0].copy()
 
 
 def vectorize_thresholds(values, num_boxes, c_th):
@@ -431,32 +435,28 @@ def process(values, grid_rows, grid_cols, num_boxes, c_th):
     of one and gives its row.  A list is stacked: n maps of h x w take
     8 n h w bytes, plus a copy for the partition and one of the taps.
 
-    Bicubic interpolation can overshoot the source range; the resized map is
-    clipped back to the squashed map's [min, max].  Squashed deviations lie
-    in [0.5, 1], so every threshold lies in [c_th/(1+e^2), c_th/(1+e)] up to
-    rounding: positive, and below c_th.
-
     The maps (see check_flow_map; one bad map rejects the list) and the
     parameters are validated once, up front.  A map is read whole only for
     its min, max and two middle values: one min and one max pass and one
     partition of a copy, each over all maps at once.  The shift is
     monotone, so it maps them to the shifted map's as scalars.  Shift,
-    deviation and squash then run on the taps the resize reads: the map
-    itself when each axis reads each pixel once, in order, else a gathered
-    copy of 4 rows per grid row by 4 columns per grid column.  Each output
-    sums its own taps in a fixed order, so no row depends on the others and
-    no bit on the CPU (see _resize_taps).  The clip bounds are exact
-    without a pass of their own: |s - median| rounds monotonically in s on
-    either side of the median and squash is monotone, so the squashed
-    minimum sits at the middle values, between which no element lies, and
-    the maximum at the shifted map's ends, 0 and its max.
+    deviation and squash then run on the taps the resize reads.  An axis of
+    the grid's size is read once and not resampled; any other axis gathers
+    4 taps per grid row or column, unless it reads each pixel once, in
+    order.  Each output sums its own taps in a fixed order, so no row
+    depends on the others and no bit on the CPU (see _resize_taps).
+
+    A resampled axis can overshoot, so its result is clipped to the squashed
+    map's [min, max], whose bounds need no pass of their own: |s - median|
+    rounds monotonically in s on either side of the median and squash is
+    monotone, so the minimum sits at the middle values, between which no
+    element lies, and the maximum at the shifted map's ends.  Squashed
+    deviations lie in [0.5, 1], so every threshold lies in [c_th/(1+e^2),
+    c_th/(1+e)] up to rounding: positive, and below c_th.
 
     A field stands for the map flow_magnitude(values), which is never
-    built: its min, max and middle values come from the float32 key u^2 +
-    v^2, bracketed by a relative 2^-16 plus an absolute 2^-120 and resolved
-    by hypot on the few pixels inside each bracket.  The brackets absorb
-    the key's rounding, its subnormal squares and its overflow to inf (see
-    _field_stats; this assumes np.hypot is within 1 ulp).  hypot then runs
+    built: its order statistics come from the float32 key u^2 + v^2 and
+    hypot on the few pixels near each (see _field_stats).  hypot then runs
     once more, on the tapped pixels, before the maps' path.
 
     A map whose median overflows float64, such as [[0, 1.7e308, 1.7e308,
@@ -479,13 +479,11 @@ def process(values, grid_rows, grid_cols, num_boxes, c_th):
         lo, hi = _extent(flat)
         lower, upper = _middle(flat)
     median, lower, upper, extent = _shifted(lo, hi, lower, upper, rows * cols)
-    resize = (grid_rows, grid_cols) != (rows, cols)
-    if resize:
-        stack, w_r, w_c = _gather(stack, grid_rows, grid_cols)
+    stack, w_r, w_c = _gather(stack, grid_rows, grid_cols)
     tapped = np.subtract(stack if stack.ndim == 3 else _hypot(stack), lo[:, None, None])
     _squash(_abs_deviation(tapped, median[:, None, None]))
-    if resize:
-        tapped = _resize_taps(tapped, w_r, w_c)
+    tapped = _resize_taps(tapped, w_r, w_c)
+    if w_r is not None or w_c is not None:  # only a resampled axis overshoots
         floor, ceiling = _squashed_range(median, lower, upper, extent)
         np.maximum(tapped, floor[:, None, None], out=tapped)
         np.minimum(tapped, ceiling[:, None, None], out=tapped)

@@ -18,6 +18,7 @@ policy under test.
 """
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -124,8 +125,7 @@ class ScenarioConfig:
             raise ValueError(f"match_iou must be in (0, 1], got {self.match_iou}")
 
 
-@dataclass(frozen=True)
-class FrameObservation:
+class FrameObservation(NamedTuple):  # built once per frame, cheaper than a frozen dataclass
     t: int
     regime: str
     truth_boxes: list  # (cx, cy, w, h) per object

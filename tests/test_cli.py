@@ -430,6 +430,16 @@ class TestSimulateCommand:
         assert err.startswith(f"error: {cfg_path}: not UTF-8 text")
         assert not (tmp_path / "out").exists()
 
+    def test_config_not_utf8_names_no_chunk_offset(self, tmp_path):
+        # a bad byte past the decoder's first chunk, 15,011 bytes in
+        head = b"[run]\n" + b"".join(b"# %04d " % i + b"x" * 92 + b"\n" for i in range(150))
+        head += b"# " + b"x" * (15011 - len(head) - 2)
+        cfg_path = tmp_path / "run.ini"
+        cfg_path.write_bytes(head + b"\xff\n")
+        with pytest.raises(ConfigError) as info:
+            load_config(cfg_path)
+        assert str(info.value) == f"{cfg_path}: not UTF-8 text: invalid start byte"
+
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "none.ini")]) == 2
         capsys.readouterr()

@@ -146,7 +146,17 @@ class TestResizeBicubic:
     def test_identity_same_shape(self):
         rng = np.random.default_rng(0)
         arr = rng.random((4, 4))
-        np.testing.assert_array_equal(flowmap.resize_bicubic(arr, 4, 4), arr)
+        out = flowmap.resize_bicubic(arr, 4, 4)
+        np.testing.assert_array_equal(out, arr)
+        assert not np.shares_memory(out, arr)
+
+    def test_axis_of_target_size_keeps_signed_zeros(self):
+        # columns are not resampled, so each column resizes as a map of its
+        # own; taps weighted (0, 1, 0, 0) would turn the -0.0 into +0.0
+        arr = np.array([[1.0, -0.0, 0.0]])
+        got = flowmap.resize_bicubic(arr, 5, 3)
+        cols = [flowmap.resize_bicubic(col[:, None], 5, 1)[:, 0] for col in arr.T]
+        assert np.array_equal(got.view(np.int64), np.array(cols).T.view(np.int64))
 
     def test_constant_stays_constant(self):
         arr = np.full((5, 7), 0.7)
@@ -179,8 +189,11 @@ class TestResizeBicubic:
         ((45, 70), (8, 1)),
         ((1, 9), (4, 3)),
         ((1, 1), (2, 5)),  # every tap is the one pixel
+        ((45, 70), (45, 8)),  # one axis already of the grid's size
+        ((45, 70), (8, 70)),
+        ((3, 4), (3, 13)),
     ], ids=["camera", "simulator", "upsample", "one-row-target", "one-column-target",
-            "one-row-source", "one-pixel"])
+            "one-row-source", "one-pixel", "rows-kept", "columns-kept", "rows-kept-upsample"])
     def test_equals_fixed_order_oracle(self, shape, grid):
         arr = np.random.default_rng(list(shape)).normal(size=shape)
         got = flowmap.resize_bicubic(arr, *grid)
@@ -339,12 +352,17 @@ def tap_sum(taps, value):
 def fixed_order_resize(arr, grid_rows, grid_cols):
     """The bicubic resize in pure-Python floats, rows then columns, each
     output its 4 taps summed in tap order: the oracle flowmap's resize must
-    equal bit for bit on every machine."""
-    src = np.asarray(arr, dtype=np.float64).tolist()
-    rows = [[tap_sum(taps, lambda r: src[r][c]) for c in range(len(src[0]))]
-            for taps in axis_taps(len(src), grid_rows)]
-    return np.array([[tap_sum(taps, row.__getitem__) for taps in axis_taps(len(src[0]), grid_cols)]
-                     for row in rows])
+    equal bit for bit on every machine.  An axis already of the grid's size
+    is kept as it is: its taps, weighted (0, 1, 0, 0), would give the same
+    values but could turn a -0.0 into +0.0."""
+    src = rows = np.asarray(arr, dtype=np.float64).tolist()
+    if grid_rows != len(src):
+        rows = [[tap_sum(taps, lambda r: src[r][c]) for c in range(len(src[0]))]
+                for taps in axis_taps(len(src), grid_rows)]
+    if grid_cols != len(src[0]):
+        rows = [[tap_sum(taps, row.__getitem__) for taps in axis_taps(len(src[0]), grid_cols)]
+                for row in rows]
+    return np.array(rows)
 
 
 def composed(values, grid_rows, grid_cols, num_boxes, c_th, resize=flowmap.resize_bicubic):
@@ -1086,11 +1104,7 @@ class TestStagesMatchPlainNumpy:
         # exact oracle: the 4-tap sums in Python floats, in the same order;
         # the dense product sums the same taps plus exact zeros in another
         # order, so it agrees to a few ulps
-        rows, cols = arr.shape
         got = flowmap.resize_bicubic(arr, gr, gc)
-        if (gr, gc) == (rows, cols):
-            assert np.array_equal(got, arr)
-            return
         assert np.array_equal(got.view(np.int64), fixed_order_resize(arr, gr, gc).view(np.int64))
         assert_within_ulps(got, dense_resize(arr, gr, gc), scale=np.abs(arr).max())
 
@@ -1178,3 +1192,7 @@ class TestResizeWeightCache:
         assert rows_index.shape == (32,) and cols_index.shape == (32,)
         taps, *_ = flowmap._gather(np.zeros((1, 375, 1242)), 8, 8)
         assert taps.shape == (1, 32, 32)
+
+    def test_axis_of_grid_size_is_neither_gathered_nor_weighted(self):
+        taps, w_r, w_c = flowmap._gather(np.zeros((1, 375, 1242)), 375, 8)
+        assert taps.shape == (1, 375, 32) and w_r is None and w_c.shape == (8, 4)

@@ -265,7 +265,7 @@ class TestEmulateDetector:
         for frame in generated_frames(sc):
             boxes = frame.grid.boxes.copy()
             boxes[frame.grid.conf == 0.0] = 1e300
-            poisoned = dataclasses.replace(frame, grid=ConfidenceGrid(frame.grid.conf, boxes))
+            poisoned = frame._replace(grid=ConfidenceGrid(frame.grid.conf, boxes))
             for alpha in (ModelChoice.H, ModelChoice.T):
                 dets = sim.emulate_detector(frame, alpha, sc, h_dets(frame, sc))
                 assert sim.emulate_detector(poisoned, alpha, sc, h_dets(poisoned, sc)) == dets
@@ -572,7 +572,7 @@ class TestEmptyGridShortcut:
         )
         conf = frame.grid.conf.copy()
         conf[1, 2, 0] = 5e-324
-        frame = dataclasses.replace(frame, grid=ConfidenceGrid(conf, frame.grid.boxes))
+        frame = frame._replace(grid=ConfidenceGrid(conf, frame.grid.boxes))
         calls = []
         process = flowmap.process
         monkeypatch.setattr(flowmap, "process", lambda *a: calls.append(a) or process(*a))
@@ -658,7 +658,7 @@ def mixed_frames(count=70):
             flow = rng.normal(size=(10, 14, 2)).astype(np.float32)
         else:
             flow = frame.flow
-        frames.append(dataclasses.replace(frame, flow=flow))
+        frames.append(frame._replace(flow=flow))
     kinds = [(f.flow.shape, bool(f.grid.conf.any()), bool(np.isfinite(f.flow).all()))
              for f in frames]
     for kind in [((12, 20), True, True), ((9, 13), True, True), ((10, 14, 2), True, True),
