@@ -15,6 +15,7 @@ import functools
 import os
 import secrets
 import sys
+import traceback
 
 import numpy as np
 
@@ -147,46 +148,19 @@ def _load_frames(cfg):
     return frames
 
 
-# Every output file writes one string per row: a float with 17 significant
-# digits ({x:.17g}, which round-trips), an int or a label as str() does.
-
-
-def _write_timeseries(path, labelled_results):
-    def render(f):
-        f.write(",".join(TIMESERIES_COLUMNS) + "\n")
-        for label, r in labelled_results:
-            rows = zip(r.alpha, *(c.tolist() for c in (r.q, r.a, r.b, r.perf, r.p, r.tpr)))
-            f.writelines(
-                f"{t},{label},{alpha.value},{q:.17g},{a:.17g},{b:.17g},{perf:.17g},"
-                f"{p:.17g},{tpr:.17g},{r.flops}\n"
-                for t, (alpha, q, a, b, perf, p, tpr) in enumerate(rows)
-            )
-
-    _atomic_write(path, render)
-
-
-def _write_summary(path, labelled_summaries):
-    def render(f):
-        f.write(",".join(SUMMARY_COLUMNS) + "\n")
-        for label, s in labelled_summaries:
-            f.write(
-                f"{label},{s.steps},{s.avg_q:.17g},{s.avg_tpr:.17g},{s.avg_accuracy:.17g},"
-                f"{s.mean_drift:.17g},{s.decision_mix['H']},{s.decision_mix['T']},"
-                f"{s.total_flops},{int(s.overflow)}\n"
-            )
-
-    _atomic_write(path, render)
-
-
-def _write_dat(path, labels, columns):
-    """Gnuplot data: column 1 is t, one further float column per policy."""
-    row = " ".join(["{}"] + ["{:.17g}"] * len(columns)) + "\n"
+def _write_rows(path, header, rows, sep):
+    """Write the header's cells, then each row's, one line each with sep
+    between cells: a float with 17 significant digits ({x:.17g}, which
+    round-trips), any other cell as str() gives it.  Each column holds one
+    type, so the first row's cells fix one line template for every row."""
+    rows = iter(rows)
+    first = next(rows)
+    line = sep.join("{:.17g}" if isinstance(v, float) else "{}" for v in first) + "\n"
 
     def render(f):
-        f.write("# t " + " ".join(labels) + "\n")
-        f.writelines(
-            row.format(t, *values) for t, values in enumerate(zip(*(c.tolist() for c in columns)))
-        )
+        f.write(sep.join(header) + "\n")
+        f.write(line.format(*first))
+        f.writelines(line.format(*row) for row in rows)
 
     _atomic_write(path, render)
 
@@ -208,12 +182,26 @@ def cmd_run(args):
     ]
     labels = [label for label, _ in policies]
     summaries = [sim.summarize(result) for result in results]
-    _write_timeseries(os.path.join(cfg.out_dir, "timeseries.csv"), zip(labels, results))
-    _write_summary(os.path.join(cfg.out_dir, "summary.csv"), zip(labels, summaries))
+    timeseries = (
+        (t, label, *row, r.flops)
+        for label, r in zip(labels, results)
+        for t, row in enumerate(zip([alpha.value for alpha in r.alpha],
+                                    *(c.tolist() for c in (r.q, r.a, r.b, r.perf, r.p, r.tpr))))
+    )
+    _write_rows(os.path.join(cfg.out_dir, "timeseries.csv"), TIMESERIES_COLUMNS, timeseries, ",")
+    summary = (
+        (label, s.steps, s.avg_q, s.avg_tpr, s.avg_accuracy, s.mean_drift, s.decision_mix["H"],
+         s.decision_mix["T"], s.total_flops, int(s.overflow))
+        for label, s in zip(labels, summaries)
+    )
+    _write_rows(os.path.join(cfg.out_dir, "summary.csv"), SUMMARY_COLUMNS, summary, ",")
     if compare:
+        # gnuplot data: column 1 is t, one further column per policy
         accuracy = [np.cumsum(r.recall) / np.arange(1, len(r) + 1) for r in results]
-        _write_dat(os.path.join(cfg.out_dir, "queue_backlog.dat"), labels, [r.q for r in results])
-        _write_dat(os.path.join(cfg.out_dir, "accuracy.dat"), labels, accuracy)
+        for name, columns in (("queue_backlog.dat", [r.q for r in results]),
+                              ("accuracy.dat", accuracy)):
+            rows = ((t, *values) for t, values in enumerate(zip(*(c.tolist() for c in columns))))
+            _write_rows(os.path.join(cfg.out_dir, name), ["# t", *labels], rows, " ")
     for label, s in zip(labels, summaries):
         print(
             f"{label}: steps={s.steps} avg_q={s.avg_q:.4g} avg_accuracy={s.avg_accuracy:.4g} "
@@ -257,8 +245,8 @@ def main(argv=None):
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # pragma: no cover - defensive
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception:  # a defect, not an input: show where it happened
+        traceback.print_exc()
         return 1
 
 

@@ -492,25 +492,13 @@ def process(values, grid_rows, grid_cols, num_boxes, c_th):
 
 
 def check_flow_map(values):
-    """Validate a flow map exactly as process does and return it: a 2-D map
-    as a float64 array, an (h, w, 2) float32 field as it is.
-
-    Rejects an empty map, an array that is neither a 2-D map nor such a
-    field, a non-finite value (in u or v for a field), a finite map whose
-    range max - min overflows float64, and one whose shifted median does.
-    Lets a caller that may skip process on some frames, such as trace
-    replay, reject such maps up front.
-
-    A field gets the check process gives it: the float32 key, its minimum
-    and hypot on its top bracket (see _field_key), so a field whose keys
-    overflow to inf is accepted unless u or v is itself non-finite.
+    """Validate a flow map by running process on it, and return it: a 2-D
+    map as a float64 array, an (h, w, 2) float32 field as it is.  Lets a
+    caller that may skip process on some frames, such as trace replay,
+    reject up front an empty map, an array that is neither a 2-D map nor
+    such a field, a non-finite value (in u or v for a field), and a finite
+    map whose range max - min or shifted median overflows float64.
     """
     arr = _as_input(values)
-    if arr.ndim == 3:  # a field's magnitudes stay far below half the float64 maximum
-        _field_key(arr)
-        return arr
-    lo, hi = _extent(arr.reshape(-1))
-    # only shifted values above half the float64 maximum can sum past it
-    if hi - lo > np.finfo(np.float64).max / 2.0:
-        _shifted(lo, hi, *_middle(arr.flatten(order="K")), arr.size)
+    process(arr, 1, 1, 1, 1.0)
     return arr

@@ -1,17 +1,18 @@
 """Decision policies: the drift-plus-penalty rule, the two static baselines,
 and a REINFORCE policy-gradient controller with a small MLP.
 
-decide(q, prev, obs, cfg, rng) receives the backlog, the previous step's
-(a, b, perf), the StepObservation, the config and the RNG; only REINFORCE reads prev.
+decide(q, state, obs, cfg, rng) receives the backlog, the REINFORCE state
+make_policy_state built for this step (None when nothing needs one), the
+StepObservation, the config and the RNG; only REINFORCE reads state.
 
 The MLP maps a 10-entry state vector to action probabilities over (H, T);
 action index 0 is H, index 1 is T.  Forward, backward, and the Adam step are
 written out in numpy so gradients can be checked against finite differences.
-The gradient runs over the whole episode as matrix products: one forward pass
-over the stacked (T, 10) state matrix and one backward pass over its rows,
-with no per-step loop.  A single decision runs the same layers as
-matrix-vector products, bit for bit a batch of one (not a row of a larger
-batch).  Adam steps one flat vector of all the parameters.
+One forward pass serves a single decision and a whole episode: the gradient
+runs it over the stacked (T, 10) state matrix, then one backward pass over
+its rows, with no per-step loop.  A single state gives the bits of a batch
+of one, not of a row of a larger batch.  Adam steps one flat vector of all
+the parameters.
 """
 
 import enum
@@ -101,35 +102,27 @@ def init_mlp(rng, sizes=(STATE_SIZE, HIDDEN_SIZE, HIDDEN_SIZE, NUM_ACTIONS)):
 
 
 def _forward(params, states):
-    """Forward pass over a (T, in) state matrix, one row per state; returns
-    (probs, h1, h2, logits), each with one row per state."""
+    """Forward pass over a (T, in) state matrix or one state; returns (probs,
+    h1, h2, logits), one row per state or vectors for one state.  The output
+    layer is raw logits + softmax (no ReLU) so both actions stay reachable
+    with any sign of logit."""
     h1 = np.maximum(states @ params.w1.T + params.b1, 0.0)
     h2 = np.maximum(h1 @ params.w2.T + params.b2, 0.0)
     logits = h2 @ params.w3.T + params.b3
-    exp = np.exp(logits - logits.max(axis=1, keepdims=True))
-    return exp / exp.sum(axis=1, keepdims=True), h1, h2, logits
+    exp = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return exp / exp.sum(axis=-1, keepdims=True), h1, h2, logits
 
 
 def mlp_forward(params, state):
     """Forward pass on one state; returns (action probabilities, cached
-    activations).
-
-    The output layer is raw logits + softmax (no ReLU) so both actions stay
-    reachable with any sign of logit.  The layers are matrix-vector
-    products, updated in place; they give _forward's bits on a batch of one,
-    but a row of a larger batch may differ from them in its last bits.
+    activations).  It gives _forward's bits on a batch of one, but a row of
+    a larger batch may differ from them in its last bits.
     """
     s = np.asarray(state, dtype=np.float64)
     if s.shape != (params.w1.shape[1],):
         raise ValueError(f"state shape {s.shape} does not match input size {params.w1.shape[1]}")
-    h1 = params.w1 @ s
-    np.maximum(np.add(h1, params.b1, out=h1), 0.0, out=h1)
-    h2 = params.w2 @ h1
-    np.maximum(np.add(h2, params.b2, out=h2), 0.0, out=h2)
-    logits = params.w3 @ h2
-    logits += params.b3
-    exp = np.exp(logits - logits.max())
-    return exp / exp.sum(), (s, h1, h2, logits)
+    probs, h1, h2, logits = _forward(params, s)
+    return probs, (s, h1, h2, logits)
 
 
 def compress_state(x):
@@ -252,7 +245,7 @@ class DppPolicy:
     """Drift-plus-penalty selection; arrival-aware when the observation says
     the queue's arrivals are coupled to the chosen model's cycle time."""
 
-    def decide(self, q, prev, obs, cfg, rng):
+    def decide(self, q, state, obs, cfg, rng):
         return dpp_select(q, obs, cfg)
 
     def flops_per_decision(self):
@@ -263,7 +256,7 @@ class AlwaysPolicy:
     def __init__(self, choice):
         self.choice = choice
 
-    def decide(self, q, prev, obs, cfg, rng):
+    def decide(self, q, state, obs, cfg, rng):
         return self.choice
 
     def flops_per_decision(self):
@@ -280,8 +273,8 @@ class ReinforcePolicy:
         self.params = params
         self.opt = AdamState.zeros_like(params)
 
-    def decide(self, q, prev, obs, cfg, rng):
-        probs, _ = mlp_forward(self.params, make_policy_state(q, prev, cfg))
+    def decide(self, q, state, obs, cfg, rng):
+        probs, _ = mlp_forward(self.params, state)
         p_h, p_t = probs.tolist()
         # rng.choice(2, p=probs) without its input checks: one uniform draw
         # against the normalized CDF, so the same stream gives the same action
@@ -299,7 +292,7 @@ class ReinforcePolicy:
 class UniformRandomPolicy:
     """Coin-flip baseline used when evaluating learned policies."""
 
-    def decide(self, q, prev, obs, cfg, rng):
+    def decide(self, q, state, obs, cfg, rng):
         return ACTIONS[rng.integers(NUM_ACTIONS)]
 
     def flops_per_decision(self):

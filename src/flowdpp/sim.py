@@ -311,13 +311,16 @@ def step(q, prev, frame, dets_h, policy, scenario, cfg, rng, collect=None):
 
     q is the backlog before it, prev the previous step's (a, b, perf) and
     dets_h H's detections on the frame.  Returns the step's row (alpha, q after,
-    a, b, perf, p, tpr, recall); tpr and recall are NaN when unlabeled.
+    a, b, perf, p, tpr, recall); tpr and recall are NaN when unlabeled.  The
+    REINFORCE state is built once, if a REINFORCE policy or collect reads it.
     """
     sc = scenario
     dets_h, num_h, p_h = emulate_detector(frame, ModelChoice.H, sc, dets_h)
     dets_t, num_t, p_t = emulate_detector(frame, ModelChoice.T, sc, dets_h)
     obs = StepObservation(num_h, num_t, p_h, p_t, sc.couple_arrival)
-    alpha = policy.decide(q, prev, obs, cfg, rng)
+    reinforce = collect is not None or isinstance(policy, ReinforcePolicy)
+    state = make_policy_state(q, prev, cfg) if reinforce else None
+    alpha = policy.decide(q, state, obs, cfg, rng)
 
     dets = dets_h if alpha is ModelChoice.H else dets_t
     p = obs.latency(alpha)
@@ -333,7 +336,7 @@ def step(q, prev, frame, dets_h, policy, scenario, cfg, rng, collect=None):
         recall = metrics.correctly_detected / frame.num_objects if frame.num_objects else 1.0
     if collect is not None:
         # the plain DPP score V*P + Q*b, without the coupled rule's -Q*a term
-        collect.append((make_policy_state(q, prev, cfg), alpha, cfg.v * perf + q * b))
+        collect.append((state, alpha, cfg.v * perf + q * b))
     return alpha, queue_update(q, a, b), a, b, perf, p, tpr, recall
 
 

@@ -493,6 +493,19 @@ class TestSimulateCommand:
         assert not out_dir.exists()
 
 
+class TestInternalError:
+    def test_traceback_and_exit_1(self, tmp_path, capsys, monkeypatch):
+        # a defect, unlike an input error, is reported with its traceback
+        def broken(args):
+            raise RuntimeError("boom")
+
+        # the cached parser holds cmd_run itself, so break its first call
+        monkeypatch.setattr(cli, "_load_run_config", broken)
+        assert main(["simulate", "--config", str(write_config(tmp_path))]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "boom" in err
+
+
 class TestRepeatedMain:
     """main called again and again in one process, as the benchmark
     harness and library callers do, with its parser built once."""

@@ -346,7 +346,8 @@ class TestPolicies:
         policy = ReinforcePolicy(seed=0)
         rng = np.random.default_rng(0)
         cfg = ControllerConfig()
-        seen = {policy.decide(1.0, (2.0, 2.4, 1.0), self.obs(), cfg, rng) for _ in range(200)}
+        state = make_policy_state(1.0, (2.0, 2.4, 1.0), cfg)
+        seen = {policy.decide(1.0, state, self.obs(), cfg, rng) for _ in range(200)}
         assert seen == {ModelChoice.H, ModelChoice.T}
         assert policy.flops_per_decision() == 35_840
 
@@ -362,11 +363,12 @@ class TestPolicies:
         for draw in range(12_000):
             which = draw % len(learners)
             q, *prev = state_rng.uniform(0.0, 20.0, size=4).tolist()
-            probs, _ = mlp_forward(learners[which].params, make_policy_state(q, prev, cfg))
+            state = make_policy_state(q, prev, cfg)
+            probs, _ = mlp_forward(learners[which].params, state)
             if which >= 3:
                 assert probs.tolist() in ([1.0, 0.0], [0.0, 1.0])
             want = ACTIONS[twin.choice(2, p=probs)]
-            got = learners[which].decide(q, prev, self.obs(), cfg, rng)
+            got = learners[which].decide(q, state, self.obs(), cfg, rng)
             assert got is want, draw
             seen[which].add(got)
         both = {ModelChoice.H, ModelChoice.T}

@@ -400,6 +400,22 @@ class TestRun:
         with pytest.raises(RuntimeError, match="make_policy_state"):
             sim.run(sc, DppPolicy(), collect=[])
 
+    def test_reinforce_builds_one_state_per_step(self, monkeypatch):
+        # decide and the collect list read the same array
+        build, built = policies.make_policy_state, []
+
+        def counting(*args):
+            built.append(build(*args))
+            return built[-1]
+
+        monkeypatch.setattr(sim, "make_policy_state", counting)
+        monkeypatch.setattr(policies, "make_policy_state", counting)
+        sc = tiny_scenario()
+        episode = []
+        sim.run(sc, ReinforcePolicy(), collect=episode)
+        assert len(built) == len(episode) == sc.horizon
+        assert all(state is made for (state, _, _), made in zip(episode, built))
+
     def test_seed_changes_frames(self, consumed):
         sc = tiny_scenario()
         counts = []
