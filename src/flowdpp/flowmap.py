@@ -13,17 +13,17 @@ statistics of the map (its min, max and two middle values) and touches the
 whole map only to find them; a 375x1242 camera map resized to 8x8 shifts
 and squashes the 32x32 pixels the bicubic resize reads.  The resize sums
 them in a fixed order, with no BLAS call, so its bits are the same on every
-CPU.  An axis whose size is already the grid's is not resampled: it is
+CPU (float64 exp's are not; see process).  An axis of the grid's size is
 read once, neither gathered nor summed.  process() also takes a list of
 same-shape maps, one row each, and runs each stage once over all.
 
 process() and check_flow_map() also take an (h, w, 2) float32 flow field,
 as read_flo returns it, whose map is flow_magnitude(field): hypot(u, v) in
 float64.  process() never builds that map.  Its whole-field passes run on
-the float32 key u^2 + v^2, half the bytes of a float64 map, which may
-overflow to inf or round among the subnormals; each order statistic is
-then resolved by hypot on the few pixels inside a bracket of the key wide
-enough for both (see _field_stats).  The result equals
+the float32 key |u + iv|, half the bytes of a float64 map, a few ulps off
+and inf near or past the float32 maximum; each order statistic is resolved
+by hypot on the few pixels inside a bracket of the key wide enough for
+both, or is 0.0 where its key is (see _field_stats).  The result equals
 process(flow_magnitude(field)) bit for bit.
 """
 
@@ -277,24 +277,25 @@ def _key_ceiling(c):
 
 def _field_key(field):
     """(pairs, key, min key, hi) of an (h, w, 2) float32 field: pairs is
-    its (n, 2) row-major view, key[i] = u^2 + v^2 of pixel i in float32 and
-    hi the maximum of its hypot map, flow_magnitude(field), from the pixels
-    in the top bracket of the key (see _field_stats).
+    its (n, 2) row-major pixels, copied if strided so that each is one
+    complex64, key[i] = |u + iv| of pixel i in float32 by numpy's complex
+    abs (one pass, no temporary, no overflow warning), and hi the maximum of
+    its hypot map, flow_magnitude(field), from the key's top bracket (0.0
+    for a top key of 0, see _field_stats).
 
     Rejects the field exactly when that map is non-finite.  A NaN in u or v
-    makes a NaN key and so a NaN minimum.  An inf in u or v makes an
-    infinite key, which is the maximum and in the top bracket, and so an
-    infinite hi.  A finite pixel whose key overflows to inf has a finite
-    hypot, so it is accepted.
+    makes a NaN key and so a NaN minimum, unless the other component is
+    infinite.  An inf in u or v makes an infinite key, which is the maximum
+    and in the top bracket, and so an infinite hi.  A finite pixel whose key
+    overflows to inf has a finite hypot, so it is accepted.
     """
-    pairs = field.reshape(-1, 2)
-    with np.errstate(over="ignore"):  # a key past the float32 maximum is inf
-        squares = np.square(pairs)
-        key = squares[:, 0] + squares[:, 1]
+    pairs = np.ascontiguousarray(field).reshape(-1, 2)
+    key = np.abs(pairs.view(np.complex64)).ravel()
     key_min = key.min()
     if math.isnan(key_min):
         raise ValueError(_NON_FINITE)
-    hi = _hypot(pairs[np.flatnonzero(key >= _key_floor(key.max()))]).max()
+    key_max = key.max()
+    hi = _hypot(pairs[np.flatnonzero(key >= _key_floor(key_max))]).max() if key_max > 0 else 0.0
     if not math.isfinite(hi):
         raise ValueError(_NON_FINITE)
     return pairs, key, key_min, hi
@@ -319,18 +320,17 @@ def _bracketed(pairs, inside, below, ranks):
 def _field_stats(field):
     """(min, max, lower, upper) of flow_magnitude(field), lower and upper
     being its two middle values (the same value for an odd pixel count),
-    computed from the float32 key u^2 + v^2 without building the map.
+    computed from the float32 key |u + iv| without building the map.
 
-    Let t be the exact u^2 + v^2 of a pixel.  Its two squares and their sum
-    each round once in float32, so the key is t (1 + e) + d with |e| below
-    about 3 * 2^-24 and |d| below about 3 * 2^-150, the second term from
-    squares that fall among the subnormals; or the key is inf, which needs
-    t within that relative error of the float32 maximum or above it.
-    np.hypot is assumed within 1 ulp (2^-52) of sqrt(t) in float64.  So two
-    pixels whose keys differ by more than a relative 2^-16 plus an absolute
-    2^-120 are ordered the same way by their t and by hypot: 2^-16 leaves a
-    margin of more than 30 over the key's relative error and 2^-120 a vast
-    one over its absolute error.
+    Let t be the exact sqrt(u^2 + v^2) of a pixel.  The key is t (1 + e) +
+    d, |e| a few float32 ulps (below 2.6 * 2^-24 on numpy's AVX-512, AVX2
+    and baseline loops) and |d| below 2^-148 for subnormal results; or it is
+    inf, which needs t within that relative error of the float32 maximum or
+    above it.  np.hypot is assumed within 1 ulp (2^-52) of t in float64.  So
+    two pixels whose keys differ by more than a relative 2^-16 plus an
+    absolute 2^-120 are ordered the same way by their t and by hypot: 2^-16
+    leaves a margin of more than 40 over the key's relative error and 2^-120
+    a vast one over its absolute error.
 
     Let c be the rank-r key.  Its bracket runs from _key_floor(c), about
     c (1 - 2^-16) - 2^-120, to _key_ceiling(c), about c (1 + 2^-16) +
@@ -342,35 +342,35 @@ def _field_stats(field):
     maximum stay in the bracket with the overflowed ones, and hypot in
     float64 orders them.  The map's rank-r value is then the rank
     (r - count below) hypot of the pixels in between, and one bracket serves
-    adjacent ranks.
+    adjacent ranks.  A key is 0 exactly where u = v = 0 (hypot +0.0), so a
+    statistic keyed 0 is 0.0, with no bracket, which would hold every zero.
 
     The bracket ends are float32 scalars.  A float64 end would promote each
     compare to a float64 pass over the key; a Python float would be rounded
     to float32 under NEP 50, within the margin.  The ends' own float32
     rounding (a relative 2^-24, an absolute 2^-150) is within it too.
 
-    The whole-field passes all run on the float32 key: its min and max, one
-    partition of a copy for its middle values, and the bracket masks.
-
-    The copy is partitioned through its int32 view, which numpy partitions
-    several times faster than float32.  The order is the same: _field_key
-    has rejected a NaN key before, and every other key is +0.0, positive or
-    +inf (squares are never negative, and +0.0 + +0.0 is +0.0), and the bit
-    patterns of non-negative IEEE values order as integers do.  The copy's
-    float32 view then holds the same values, partitioned the same way.
+    The middle keys come from one partition of the key's copy through its
+    int32 view, which numpy partitions several times faster than float32,
+    in the same order: _field_key has rejected a NaN key, every other key
+    is +0.0 (also for signed zeros), positive or +inf, and the bit patterns
+    of non-negative IEEE values order as integers do.
     """
     pairs, key, key_min, hi = _field_key(field)
     n = key.size
     half = n // 2
     part = key.copy()
     lower, upper = (bits.view(np.float32) for bits in _middle(part.view(np.int32)))
-    lo = _hypot(pairs[np.flatnonzero(key <= _key_ceiling(key_min))]).min()
-    floor, ceiling = _key_floor(lower), _key_ceiling(upper)
+    lo = _hypot(pairs[np.flatnonzero(key <= _key_ceiling(key_min))]).min() if key_min > 0 else 0.0
+    if upper == 0:
+        return lo, hi, 0.0, 0.0
+    ranks = [half] if n % 2 or lower == 0 else [half - 1, half]
+    floor, ceiling = _key_floor(lower if lower > 0 else upper), _key_ceiling(upper)
     # every key below the floor precedes the partition point
     below = np.count_nonzero(part[:half] < floor)
     inside = (key >= floor) & (key <= ceiling)
-    middle = _bracketed(pairs, inside, below, [half] if n % 2 else [half - 1, half])
-    return lo, hi, middle[0], middle[-1]
+    middle = _bracketed(pairs, inside, below, ranks)
+    return lo, hi, 0.0 if lower == 0 else middle[0], middle[-1]
 
 
 # -- public stages ----------------------------------------------------------
@@ -443,8 +443,8 @@ def process(values, grid_rows, grid_cols, num_boxes, c_th):
     deviation and squash then run on the taps the resize reads.  An axis of
     the grid's size is read once and not resampled; any other axis gathers
     4 taps per grid row or column, unless it reads each pixel once, in
-    order.  Each output sums its own taps in a fixed order, so no row
-    depends on the others and no bit on the CPU (see _resize_taps).
+    order.  Each output sums its own taps in a fixed order: no row depends
+    on the others, nor a resized bit on the CPU (exp's differ by SIMD loop).
 
     A resampled axis can overshoot, so its result is clipped to the squashed
     map's [min, max], whose bounds need no pass of their own: |s - median|
@@ -455,7 +455,7 @@ def process(values, grid_rows, grid_cols, num_boxes, c_th):
     c_th/(1+e)] up to rounding: positive, and below c_th.
 
     A field stands for the map flow_magnitude(values), which is never
-    built: its order statistics come from the float32 key u^2 + v^2 and
+    built: its order statistics come from the float32 key |u + iv| and
     hypot on the few pixels near each (see _field_stats).  hypot then runs
     once more, on the tapped pixels, before the maps' path.
 

@@ -771,6 +771,34 @@ KEY_REVERSED_PAIRS = {
 }
 
 
+# Pixel pairs found by search whose float32 keys |u + iv| (numpy's complex
+# abs, as _field_key builds them) order them opposite to their hypot under
+# numpy's AVX-512, AVX2 and baseline loops alike: the first pixel has the
+# smaller key and the larger hypot.
+CABS_REVERSED_PAIRS = {
+    # a key a few ulps off: the relative term
+    "complex abs reversed by rounding": pixel_pair(("0x1.2b6362p-5", "0x1.e9ba76p-4"),
+                                                   ("0x1.ff2cb6p-4", "-0x1.eb3f0ap-8")),
+    # keys one subnormal step apart: the absolute term
+    "complex abs reversed among the subnormals": pixel_pair(("0x1.3df8p-136", "0x1.d63p-136"),
+                                                            ("0x1.0304p-135", "0x1.dp-137")),
+    # the float32 maximum against a key that overflowed below it: the floor's clamp
+    "complex abs reversed by overflow": pixel_pair(("0x1.e0d82ap+127", "0x1.5fc0ecp+126"),
+                                                   ("0x1.67a192p+126", "-0x1.df62a6p+127")),
+}
+
+
+def zero_pixel_field(seed, shape, zeros, scale=1.0):
+    """A field whose pixels are u = v = 0 (signed zeros among them) in
+    `zeros` shuffled places; elsewhere each component has a random sign and
+    a magnitude from scale to 8 scale."""
+    rng = np.random.default_rng(seed)
+    n = shape[0] * shape[1]
+    uv = rng.choice([-1.0, 1.0], (n, 2)) * rng.uniform(1.0, 8.0, (n, 2)) * scale
+    uv[rng.permutation(n)[:zeros]] = rng.choice([-0.0, 0.0], (zeros, 2))
+    return uv.reshape(shape + (2,)).astype(np.float32)
+
+
 FIXED_FIELDS = {
     "1x1": np.array([[[3.0, -4.0]]], np.float32),
     "zeros": np.zeros((9, 14, 2), np.float32),
@@ -792,6 +820,13 @@ FIXED_FIELDS = {
     "upper half of keys overflows": overflowing_field(43, (8, 9), 36),
     "subnormal squares": subnormal_field(44),
     **KEY_REVERSED_PAIRS,
+    # lower middle key 0 and upper nonzero, then both 0: each rank branch of _field_stats
+    "half zeros": zero_pixel_field(46, (10, 14), 70),
+    "half + 1 zeros": zero_pixel_field(47, (10, 14), 71),
+    "half zeros, odd count": zero_pixel_field(48, (9, 13), 59),
+    # the nonzero half keyed 2^-149 and up, within 2^-120 of the zero keys
+    "half zeros, subnormal rest": zero_pixel_field(49, (10, 14), 70, scale=2.0 ** -149),
+    **CABS_REVERSED_PAIRS,
 }
 
 
@@ -891,6 +926,56 @@ class TestFlowFields:
         field = KEY_REVERSED_PAIRS[name]
         (key,), (magnitude,) = self.float32_keys(field), flowmap.flow_magnitude(field)
         assert key[0] < key[1] and magnitude[0] > magnitude[1]
+
+    @staticmethod
+    def complex_abs_keys(field):
+        return flowmap._field_key(field)[1]
+
+    @pytest.mark.parametrize("name", sorted(CABS_REVERSED_PAIRS))
+    def test_pairs_whose_complex_abs_keys_order_against_hypot(self, name):
+        field = CABS_REVERSED_PAIRS[name]
+        key, (magnitude,) = self.complex_abs_keys(field), flowmap.flow_magnitude(field)
+        assert key[0] < key[1] and magnitude[0] > magnitude[1]
+
+    def test_key_is_zero_exactly_for_zero_pixels(self):
+        zeros = np.array([[[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]]], np.float32)
+        assert np.all(self.complex_abs_keys(zeros).view(np.int32) == 0)  # +0.0, never -0.0
+        tiny = 2.0 ** -149
+        tinies = np.array([[[tiny, 0.0], [-tiny, -0.0], [0.0, tiny], [-0.0, -tiny], [tiny, -tiny]]],
+                          np.float32)
+        assert np.all(self.complex_abs_keys(tinies) > 0.0)
+
+    def test_key_within_2_to_minus_20_of_hypot(self):
+        # magnitudes from 2^-128, among the subnormals, to just below the float32 maximum
+        field = field_of_magnitudes(50, np.linspace(-128.0, 127.99, 4096).reshape(64, 64))
+        key = self.complex_abs_keys(field).astype(np.float64)
+        magnitude = flowmap.flow_magnitude(field).ravel()
+        assert magnitude.min() < np.finfo(np.float32).tiny and np.all(np.isfinite(key))
+        assert np.all(np.abs(key - magnitude) <= 2.0 ** -20 * magnitude)
+
+    @pytest.mark.parametrize("name, lower_zero, upper_zero", [
+        ("half zeros", True, False), ("half + 1 zeros", True, True), ("half zeros, odd count", True, True),
+        ("half zeros, subnormal rest", True, False), ("even count", False, False),
+    ])
+    def test_zero_middle_keys_reach_each_branch(self, name, lower_zero, upper_zero):
+        lower, upper = flowmap._middle(self.complex_abs_keys(FIXED_FIELDS[name]))
+        assert (lower == 0, upper == 0) == (lower_zero, upper_zero)
+
+    def test_zero_ranks_take_no_bracket(self, monkeypatch):
+        # a key is 0 only where u = v = 0, so a field of half zero pixels
+        # sends none of them through hypot for its minimum or middle values,
+        rows, cols = self.SHAPE
+        n = rows * cols
+        field = blob_field(np.random.default_rng(51), rows, cols)
+        field[np.random.default_rng(52).permutation(n).reshape(rows, cols) < n // 2] = 0.0
+        magnitude = np.sort(flowmap.flow_magnitude(field), axis=None)
+        exact, sizes = flowmap._hypot, []
+        monkeypatch.setattr(flowmap, "_hypot", lambda uv: sizes.append(len(uv)) or exact(uv))
+        assert flowmap._field_stats(field) == (0.0, magnitude[-1], magnitude[n // 2 - 1], magnitude[n // 2])
+        assert magnitude[n // 2 - 1] == 0.0 < magnitude[n // 2] and sum(sizes) < n // 100
+        # nor an all-zero field for its maximum
+        sizes.clear()
+        assert flowmap._field_stats(np.zeros_like(field)) == (0.0, 0.0, 0.0, 0.0) and sum(sizes) == 0
 
     @pytest.mark.parametrize("name, overflowing", [
         ("every key overflows", 42), ("median keys overflow", 40), ("upper half of keys overflows", 36),

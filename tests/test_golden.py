@@ -14,8 +14,11 @@ thresholds `process-flow` writes: .flo fields in the four KITTI-2015 shapes
 and an odd pixel count at an 8x8 grid, and CSV maps at a one-row grid, a
 one-column grid and their own size.  The bicubic resize sums each output's
 taps in a fixed order with numpy's elementwise multiply and add, which round
-each operation correctly, and calls no BLAS routine; so every IEEE-754
-machine writes the same thresholds, whatever its SIMD width or BLAS kernel.
+each operation correctly, and calls no BLAS routine; so the resize has the
+same bits on every IEEE-754 machine, whatever its BLAS kernel.  float64 exp,
+in the squash and the threshold map, does not: numpy's AVX-512 loop rounds
+some results unlike its AVX2 and baseline loops, and under either of those
+(NPY_DISABLE_CPU_FEATURES) 7 of the 8 process-flow cases differ.
 
 A change that moves these outputs on purpose regenerates both files with
 `PYTHONPATH=src python tests/golden/regen.py` and says why.
