@@ -92,8 +92,7 @@ def cmd_process_flow(args):
         raise InputError(str(exc)) from exc
 
     def render(f):
-        for value in thresholds:
-            f.write(f"{value:.17g}\n")
+        f.write("".join([f"{value:.17g}\n" for value in thresholds.tolist()]))
 
     _atomic_write(args.out, render)
     print(

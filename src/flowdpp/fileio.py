@@ -2,6 +2,7 @@
 grid CSVs, and simulation trace CSVs."""
 
 import csv
+import mmap
 import os
 import stat
 from pathlib import Path
@@ -28,8 +29,16 @@ FLO_MAGIC = np.float32(202021.25)
 
 
 def read_flo(path):
-    """Read a .flo file into a writable (h, w, 2) float32 array of (u, v)
-    vectors; the payload is read straight into it, with no second copy."""
+    """Read a .flo file as a writable (h, w, 2) float32 array of (u, v)
+    vectors, with no copy of the payload.
+
+    A regular file is mapped copy-on-write: the array is a private view of
+    the file's pages from byte 12, and writing into it leaves the file as it
+    is.  The array holds the mapping and one file descriptor until it is
+    freed.  A file truncated while mapped ends the process with SIGBUS, not
+    a ValueError.  Any other file, such as a named pipe, is read straight
+    into a new array.
+    """
     with open(path, "rb") as f:
         # each read's length is checked before frombuffer sees it, which
         # rejects a partial element without naming the file
@@ -45,11 +54,15 @@ def read_flo(path):
         # a regular file's size is checked first, so a corrupt header cannot
         # ask for a huge array; a pipe has no size, only the count check
         st = os.fstat(f.fileno())
-        if stat.S_ISREG(st.st_mode) and st.st_size - f.tell() < 8 * w * h:
-            raise ValueError(f"{path}: truncated .flo payload")
-        data = np.empty((h, w, 2), dtype="<f4")
-        if f.readinto(data) != data.nbytes:
-            raise ValueError(f"{path}: truncated .flo payload")
+        if stat.S_ISREG(st.st_mode):
+            if st.st_size - f.tell() < 8 * w * h:
+                raise ValueError(f"{path}: truncated .flo payload")
+            pages = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_COPY)
+            data = np.frombuffer(pages, dtype="<f4", count=2 * w * h, offset=f.tell()).reshape(h, w, 2)
+        else:
+            data = np.empty((h, w, 2), dtype="<f4")
+            if f.readinto(data) != data.nbytes:
+                raise ValueError(f"{path}: truncated .flo payload")
         return data.astype(np.float32, copy=False)
 
 
@@ -181,7 +194,9 @@ def load_trace(path):
     Returns FrameObservations with empty ground truth (external traces carry
     detections, not labels), whose tpr and recall the simulator reports as
     NaN.  Each flow map is checked as it loads, because the simulator skips
-    the flow map of a frame with an empty grid.
+    the flow map of a frame with an empty grid.  A .flo field is copied out
+    of its mapping (see read_flo), so a long trace holds no mapping and no
+    file descriptor per frame.
     """
     from .sim import FrameObservation  # deferred: sim imports this module's peers
 
@@ -192,6 +207,8 @@ def load_trace(path):
         num_objects = _count(path, line, row, "num_objects")
         flow_path = base / row["flow_file"]
         flow = load_flow_map(flow_path)  # whose errors name the file
+        if not flow.flags.owndata:
+            flow = flow.copy()
         try:
             flow = check_flow_map(flow)
         except ValueError as exc:

@@ -276,38 +276,18 @@ def _key_ceiling(c):
 
 
 def _field_key(field):
-    """(pairs, key, min key, hi) of an (h, w, 2) float32 field: pairs is
-    its (n, 2) row-major pixels, copied if strided so that each is one
-    complex64, key[i] = |u + iv| of pixel i in float32 by numpy's complex
-    abs (one pass, no temporary, no overflow warning), and hi the maximum of
-    its hypot map, flow_magnitude(field), from the key's top bracket (0.0
-    for a top key of 0, see _field_stats).
-
-    Rejects the field exactly when that map is non-finite.  A NaN in u or v
-    makes a NaN key and so a NaN minimum, unless the other component is
-    infinite.  An inf in u or v makes an infinite key, which is the maximum
-    and in the top bracket, and so an infinite hi.  A finite pixel whose key
-    overflows to inf has a finite hypot, so it is accepted.
-    """
+    """(pairs, key) of an (h, w, 2) float32 field: its (n, 2) row-major
+    pixels, copied if strided so that each is one complex64, and their keys
+    |u + iv| in float32 by numpy's complex abs (one pass, no temporary)."""
     pairs = np.ascontiguousarray(field).reshape(-1, 2)
-    key = np.abs(pairs.view(np.complex64)).ravel()
-    key_min = key.min()
-    if math.isnan(key_min):
-        raise ValueError(_NON_FINITE)
-    key_max = key.max()
-    hi = _hypot(pairs[np.flatnonzero(key >= _key_floor(key_max))]).max() if key_max > 0 else 0.0
-    if not math.isfinite(hi):
-        raise ValueError(_NON_FINITE)
-    return pairs, key, key_min, hi
+    return pairs, np.abs(pairs.view(np.complex64)).ravel()
 
 
-def _bracketed(pairs, inside, below, ranks):
-    """The values at these ranks (0-based, ascending) of the hypot map of a
-    field, given the pixels inside a bracket of the key that holds them all
-    and the count of pixels below it.  hypot runs on the bracket's pixels
-    only.
-    """
-    values = _hypot(pairs[np.flatnonzero(inside)])  # faster than a boolean index
+def _bracketed(values, inside, below, ranks):
+    """The values at these ranks (0-based, ascending) of a field's hypot
+    map, given some pixels' hypot values, the mask of those inside a key
+    bracket that holds the ranks, and the count of pixels below it."""
+    values = values[inside]
     offsets = [rank - below for rank in ranks]
     # a rank outside its bracket means hypot broke the ordering assumed in
     # _field_stats; fail rather than let a negative offset index from the end
@@ -350,26 +330,46 @@ def _field_stats(field):
     to float32 under NEP 50, within the margin.  The ends' own float32
     rounding (a relative 2^-24, an absolute 2^-150) is within it too.
 
-    The middle keys come from one partition of the key's copy through its
-    int32 view, which numpy partitions several times faster than float32,
-    in the same order: _field_key has rejected a NaN key, every other key
-    is +0.0 (also for signed zeros), positive or +inf, and the bit patterns
-    of non-negative IEEE values order as integers do.
+    The key's order statistics come from one partition of its copy through
+    its int32 view, which numpy partitions several times faster than
+    float32, in the same order: a key that is not NaN is +0.0 (also for
+    signed zeros), positive or +inf, and the bit patterns of non-negative
+    IEEE values order as integers do.  The min key lies at or before the
+    partition point and the max key at or after it, as does a NaN key (its
+    bits exceed +inf's or, sign set, are negative).  The field is rejected
+    exactly when its hypot map is non-finite: a NaN in u or v makes a NaN
+    key unless the other part is infinite, and an inf makes an infinite key,
+    the maximum, whose hypot is inf; a finite pixel's overflowed key is not.
+    The brackets share one mask, index and hypot call, split by their keys.
     """
-    pairs, key, key_min, hi = _field_key(field)
-    n = key.size
-    half = n // 2
+    pairs, key = _field_key(field)
+    half = key.size // 2
     part = key.copy()
     lower, upper = (bits.view(np.float32) for bits in _middle(part.view(np.int32)))
-    lo = _hypot(pairs[np.flatnonzero(key <= _key_ceiling(key_min))]).min() if key_min > 0 else 0.0
+    key_min, key_max = part[:half + 1].min(), part[half:].max()
+    if math.isnan(key_min) or math.isnan(key_max):
+        raise ValueError(_NON_FINITE)
+    if key_max == 0:  # u = v = 0 everywhere
+        return 0.0, 0.0, 0.0, 0.0
+    top, bottom = _key_floor(key_max), _key_ceiling(key_min)
+    floor, ceiling = _key_floor(lower if lower > 0 else upper), _key_ceiling(upper)
+    near = key >= top
+    if key_min > 0:
+        near |= key <= bottom
+    if upper > 0:
+        near |= (key >= floor) & (key <= ceiling)
+    index = np.flatnonzero(near)  # faster than a boolean index
+    near_key, values = key[index], _hypot(pairs[index])
+    hi = values[near_key >= top].max()
+    if not math.isfinite(hi):
+        raise ValueError(_NON_FINITE)
+    lo = values[near_key <= bottom].min() if key_min > 0 else 0.0
     if upper == 0:
         return lo, hi, 0.0, 0.0
-    ranks = [half] if n % 2 or lower == 0 else [half - 1, half]
-    floor, ceiling = _key_floor(lower if lower > 0 else upper), _key_ceiling(upper)
+    ranks = [half] if key.size % 2 or lower == 0 else [half - 1, half]
     # every key below the floor precedes the partition point
     below = np.count_nonzero(part[:half] < floor)
-    inside = (key >= floor) & (key <= ceiling)
-    middle = _bracketed(pairs, inside, below, ranks)
+    middle = _bracketed(values, (near_key >= floor) & (near_key <= ceiling), below, ranks)
     return lo, hi, 0.0 if lower == 0 else middle[0], middle[-1]
 
 

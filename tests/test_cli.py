@@ -1,6 +1,7 @@
 import configparser
 import csv
 import os
+import sys
 import threading
 
 import numpy as np
@@ -64,13 +65,20 @@ class TestFlo:
             fileio.read_flo(path)
 
     def test_reads_into_one_writable_array(self, tmp_path):
+        # a regular file is mapped copy-on-write: the field is writable and
+        # private, so writing into it changes neither the file nor a new read
         flow = np.random.default_rng(1).standard_normal((375, 1242, 2)).astype(np.float32)
         path = tmp_path / "camera.flo"
         fileio.write_flo(path, flow)
+        payload = path.read_bytes()
         back = fileio.read_flo(path)
         assert back.dtype == np.float32 and back.shape == flow.shape
-        assert back.flags.writeable and back.flags.c_contiguous and back.flags.owndata
+        assert back.flags.writeable and back.flags.c_contiguous
         assert np.array_equal(back, flow)
+        back[...] = 7.0
+        assert path.read_bytes() == payload
+        assert np.array_equal(fileio.read_flo(path), flow)
+        del back
         for cut in (1, 8, flow.nbytes):
             path.write_bytes(path.read_bytes()[:-cut] if cut < flow.nbytes else path.read_bytes()[:12])
             with pytest.raises(ValueError, match="truncated .flo payload"):
@@ -681,6 +689,26 @@ class TestTraceReplay:
             assert {row["tpr"] for row in csv.DictReader(f)} == {"nan"}
         accuracy = (out_dir / "accuracy.dat").read_text().splitlines()[1:]
         assert {value for line in accuracy for value in line.split()[1:]} == {"nan"}
+
+
+class TestTraceFloFields:
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts /proc/self/fd")
+    def test_frames_hold_no_mapping(self, tmp_path):
+        # read_flo maps a regular file, and the mapping holds a file
+        # descriptor; a trace keeps every frame, so it keeps a copy of each
+        rng = np.random.default_rng(3)
+        fields = [rng.standard_normal((6, 8, 2)).astype(np.float32) for _ in range(40)]
+        fileio.save_grid_csv(tmp_path / "conf.csv", ConfidenceGrid(np.zeros((2, 2, 1)), np.zeros((2, 2, 1, 4))))
+        rows = [",".join(fileio.TRACE_HEADER)]
+        for t, field in enumerate(fields):
+            fileio.write_flo(tmp_path / f"flow{t}.flo", field)
+            rows.append(f"{t},driving,0,flow{t}.flo,conf.csv")
+        (tmp_path / "trace.csv").write_text("\n".join(rows) + "\n")
+        before = len(os.listdir("/proc/self/fd"))
+        frames = fileio.load_trace(tmp_path / "trace.csv")
+        assert len(os.listdir("/proc/self/fd")) == before
+        assert all(frame.flow.flags.owndata for frame in frames)
+        assert all(np.array_equal(frame.flow, field) for frame, field in zip(frames, fields))
 
 
 class TestTraceInputErrors:

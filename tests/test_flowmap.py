@@ -1089,12 +1089,12 @@ class TestFlowFields:
     def test_rank_outside_its_bracket_raises(self):
         # hypot breaking the ordering assumption must fail loudly, never
         # read a value from the far end of the bracket
-        pairs = np.array([[3.0, 4.0], [1.0, 0.0]], np.float32)
+        values = flowmap._hypot(np.array([[3.0, 4.0], [1.0, 0.0]], np.float32))
         inside = np.array([True, False])
-        assert flowmap._bracketed(pairs, inside, 1, [1]).tolist() == [5.0]
+        assert flowmap._bracketed(values, inside, 1, [1]).tolist() == [5.0]
         for below, ranks in [(2, [1]), (0, [1]), (1, [0, 1])]:
             with pytest.raises(RuntimeError, match="bracket"):
-                flowmap._bracketed(pairs, inside, below, ranks)
+                flowmap._bracketed(values, inside, below, ranks)
 
 
 class TestMedianOverflow:
